@@ -45,8 +45,8 @@
 // and the next API call reactivates them transparently by replaying the
 // log — the reactivated session proposes byte-identical batches.
 //
-// Durable sessions additionally write verified state checkpoints into
-// their logs every -checkpoint-every rounds (default 8, 0 = off), and
+// Durable sessions additionally write state checkpoints into their
+// logs every -checkpoint-every rounds (default 8, 0 = off), and
 // by default compact the log past each one (-checkpoint-compact). A
 // checkpoint turns recovery and reactivation from a full-history replay
 // into restoring the snapshot plus replaying at most one interval's
@@ -90,8 +90,8 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 1024, "maximum concurrently open sessions (0 = unlimited)")
 		journalDir  = flag.String("journal-dir", "", "write-ahead-journal directory for durable sessions (empty = in-memory only)")
 		idleTTL     = flag.Duration("idle-ttl", 0, "passivate durable sessions idle for this long, releasing their memory until the next call reactivates them from the journal (0 = never; requires -journal-dir)")
-		ckptEvery   = flag.Int("checkpoint-every", serve.DefaultCheckpointEvery, "write a verified state checkpoint into each durable session's journal every K committed rounds, so recovery replays only the rounds after it (0 = checkpoints off, full replay)")
-		ckptCompact = flag.Bool("checkpoint-compact", true, "after each verified checkpoint, compact the session's journal down to [created][checkpoint][suffix], bounding its disk footprint by the checkpoint interval")
+		ckptEvery   = flag.Int("checkpoint-every", serve.DefaultCheckpointEvery, "write a state checkpoint into each durable session's journal every K committed rounds, so recovery replays only the rounds after it (0 = checkpoints off, full replay)")
+		ckptCompact = flag.Bool("checkpoint-compact", true, "after each checkpoint, compact the session's journal down to [created][checkpoint][suffix], bounding its disk footprint by the checkpoint interval")
 		durability  = flag.String("durability", "fail-stop", "what a durable session does when its journal fails for good, after the writer's bounded retries and the disk-full emergency compaction: 'fail-stop' closes it with the cause recorded, 'degrade' keeps it serving non-durably (status reports durable=false plus the cause)")
 		breakerCool = flag.Duration("breaker-cooldown", serve.DefaultBreakerCooldown, "after a final journal failure, reject new durable sessions with 503 for this long before re-probing the journal with the next create (0 = breaker off)")
 		faultPlan   = flag.String("fault-plan", os.Getenv("ASMSERVE_FAULT_PLAN"), "TESTING ONLY: activate a deterministic fault-injection plan against the journal I/O sites, e.g. 'journal/append-sync:after=2:times=1:err=io' (defaults to $ASMSERVE_FAULT_PLAN; empty = no faults, zero overhead)")

@@ -119,10 +119,10 @@ func (sv *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP asmserve_reactivations_total Passivated sessions reactivated by log replay since boot.")
 	fmt.Fprintln(w, "# TYPE asmserve_reactivations_total counter")
 	fmt.Fprintf(w, "asmserve_reactivations_total %d\n", mt.Reactivations)
-	fmt.Fprintln(w, "# HELP asmserve_checkpoints_total Verified state checkpoints written into session journals since boot.")
+	fmt.Fprintln(w, "# HELP asmserve_checkpoints_total State checkpoints written into session journals since boot.")
 	fmt.Fprintln(w, "# TYPE asmserve_checkpoints_total counter")
 	fmt.Fprintf(w, "asmserve_checkpoints_total %d\n", mt.Checkpoints)
-	fmt.Fprintln(w, "# HELP asmserve_checkpoint_failures_total Checkpoints skipped because write-time verification or encoding failed (the session continues journaling normally).")
+	fmt.Fprintln(w, "# HELP asmserve_checkpoint_failures_total Checkpoints skipped because the snapshot failed to encode (the session continues journaling normally).")
 	fmt.Fprintln(w, "# TYPE asmserve_checkpoint_failures_total counter")
 	fmt.Fprintf(w, "asmserve_checkpoint_failures_total %d\n", mt.CheckpointFailures)
 	fmt.Fprintln(w, "# HELP asmserve_compactions_total Session journals compacted down to their newest checkpoint since boot.")

@@ -61,7 +61,7 @@ type statusResponse struct {
 	PoolBytes      int64   `json:"pool_bytes"`
 	IdleSeconds    float64 `json:"idle_seconds"`
 	SelectSeconds  float64 `json:"select_seconds"`
-	// Checkpoints counts verified checkpoints this session has written;
+	// Checkpoints counts the checkpoints this session has written;
 	// LastCheckpointRound is the round the newest one snapshots (both are
 	// restored from the checkpoint itself on recovery, so they are stable
 	// across restarts).
@@ -100,7 +100,7 @@ type healthResponse struct {
 	RecoveredSessions int `json:"recovered_sessions"`
 	// IdleTTLSeconds is the configured passivation TTL (0 = off).
 	IdleTTLSeconds float64 `json:"idle_ttl_seconds"`
-	// Checkpoints / Compactions / CheckpointRestores count verified
+	// Checkpoints / Compactions / CheckpointRestores count
 	// checkpoints written, journal compactions past them, and
 	// recoveries/reactivations that restored a checkpoint instead of
 	// replaying the full history, since this process booted.

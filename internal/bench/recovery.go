@@ -48,7 +48,7 @@ type RecoveryPoint struct {
 // CheckpointedRecoveryPoint is the measured recovery latency at one
 // (campaign length, checkpoint interval) pair, with checkpointing and
 // journal compaction enabled. Once the campaign is at least one interval
-// long, recovery restores the newest verified checkpoint and replays
+// long, recovery restores the newest trusted checkpoint and replays
 // only the suffix, so the latency tracks the interval rather than the
 // campaign length.
 type CheckpointedRecoveryPoint struct {

@@ -6,7 +6,7 @@ import "hash/crc32"
 // state of a session at one point in its log, so a loader can restore it
 // and replay only the records that follow instead of the whole history.
 //
-// A checkpoint is trusted only when three independent pins all hold:
+// A checkpoint is trusted only when two independent pins both hold:
 //
 //   - HistoryDigest chains the checkpoint to its position: it must equal
 //     the CRC32-C chain over every record payload preceding it in the
@@ -17,13 +17,12 @@ import "hash/crc32"
 //     must match the session the loader rebuilt from the created record.
 //     State snapshotted under one sampler contract or dataset must never
 //     seed a replay under another.
-//   - The writer round-trips the checkpoint against an actual replay of
-//     its own log before appending it, so a snapshot that would diverge
-//     from the pure-function-of-history state is never written at all.
 //
 // Any failed pin demotes the loader to full replay (the records are
 // still there unless the log was compacted past the checkpoint); a
-// checkpoint is an accelerator, never an authority.
+// checkpoint is an accelerator, never an authority. That a snapshot
+// equals the state a replay of its history computes is a property of
+// the writer's code, checked by its tests, and not re-checked per write.
 type Checkpoint struct {
 	// Round is the last committed (observed) round the snapshot covers.
 	Round int `json:"round"`

@@ -214,8 +214,8 @@ func (st *Store) Resume(id string) (*Resumed, error) {
 // dangle past the rewritten file. Compaction is deliberately the only
 // operation that discards acknowledged records — once the history before
 // a checkpoint is gone, a loader that distrusts that checkpoint can no
-// longer fall back to full replay, which is why writers verify a
-// checkpoint against replay before Compact may trust it.
+// longer fall back to full replay, which is why the writer's snapshots
+// must equal replay by construction (see Checkpoint).
 func (st *Store) Compact(id string) (removed int64, err error) {
 	path := st.path(id)
 	data, err := st.readLog(id)

@@ -2,15 +2,199 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"asti/internal/diffusion"
 	"asti/internal/journal"
+	"asti/internal/rng"
 	"asti/internal/serve"
 )
+
+// TestCheckpointAuditSweep is the replay verification the checkpoint
+// write path does not run, done once per configuration instead of on
+// every write. For every policy family, worker count, pool-reuse mode
+// and sampler version, two campaigns write a checkpoint after every
+// round (compaction off, so the whole history stays in the log): one
+// played to completion against a sampled world (large activation
+// deltas, and a final checkpoint of a done campaign), one that activates
+// only each batch (small deltas, the pool-reuse path). The LT model and
+// a binding MaxSetsPerRound cap, the other Config fields that reach the
+// sampler and the pool state a checkpoint holds, each run over the ASTI
+// and ASTI-3 part of that matrix at one worker. AuditCheckpoints checks
+// every snapshot against a full replay of the log before it, against its
+// own restore, and against a session restored from the previous one.
+func TestCheckpointAuditSweep(t *testing.T) {
+	reg := testRegistry(t)
+	g, err := reg.Graph("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := map[diffusion.Model]*diffusion.Realization{
+		diffusion.IC: diffusion.SampleRealization(g, diffusion.IC, rng.New(5)),
+		diffusion.LT: diffusion.SampleRealization(g, diffusion.LT, rng.New(5)),
+	}
+	variants := []struct {
+		name     string
+		model    diffusion.Model
+		poolCap  int64
+		policies []string
+		workers  []int
+	}{
+		{"IC", diffusion.IC, 0, []string{"ASTI", "ASTI-3", "AdaptIM"}, []int{1, 4}},
+		{"LT", diffusion.LT, 0, []string{"ASTI", "ASTI-3"}, []int{1}},
+		{"capped", diffusion.IC, 64, []string{"ASTI", "ASTI-3"}, []int{1}},
+	}
+	for _, v := range variants {
+		for _, policy := range v.policies {
+			for _, workers := range v.workers {
+				for _, disableReuse := range []bool{false, true} {
+					for _, sampler := range []int{1, 2} {
+						for _, world := range []*diffusion.Realization{worlds[v.model], nil} {
+							cfg := serve.Config{
+								Dataset: "test", Policy: policy, Model: v.model, EtaFrac: 0.1, Epsilon: 0.5, Seed: 17,
+								Workers: workers, MaxSetsPerRound: v.poolCap,
+								DisablePoolReuse: disableReuse, SamplerVersion: sampler,
+							}
+							shape := "world"
+							if world == nil {
+								cfg.EtaFrac, shape = 0.5, "echo"
+							}
+							name := fmt.Sprintf("%s/%s/workers=%d/reuse=%v/v%d/%s", v.name, policy, workers, !disableReuse, sampler, shape)
+							t.Run(name, func(t *testing.T) {
+								t.Parallel()
+								mgr, recs, rounds := auditedCampaign(t, reg, cfg, world)
+								n, err := mgr.AuditCheckpoints(recs)
+								if err != nil {
+									t.Fatalf("audit after %d of %d checkpoints: %v", n, rounds, err)
+								}
+								if n != rounds {
+									t.Fatalf("audited %d checkpoints over %d rounds, want one per round", n, rounds)
+								}
+								if cfg.MaxSetsPerRound > 0 {
+									if top := largestPool(t, recs); top != cfg.MaxSetsPerRound {
+										t.Fatalf("largest checkpointed pool %d, want the cap %d to bind", top, cfg.MaxSetsPerRound)
+									}
+								}
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// largestPool returns the largest end-of-round pool size recorded by
+// any checkpoint in recs.
+func largestPool(t *testing.T, recs []journal.Record) int64 {
+	t.Helper()
+	var top int64
+	for _, rec := range recs {
+		if rec.Type != journal.TypeCheckpoint {
+			continue
+		}
+		var ck journal.Checkpoint
+		if err := json.Unmarshal(rec.Body, &ck); err != nil {
+			t.Fatal(err)
+		}
+		top = max(top, ck.Policy.LastPool)
+	}
+	return top
+}
+
+// TestCheckpointAuditCatchesDrift proves the sweep has teeth: a log
+// whose checkpoint disagrees with its history in any replay-relevant
+// field — re-framed with a valid CRC, so only the audit can notice —
+// fails the audit.
+func TestCheckpointAuditCatchesDrift(t *testing.T) {
+	reg := testRegistry(t)
+	g, err := reg.Graph("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(5))
+	cfg := serve.Config{Dataset: "test", EtaFrac: 0.1, Epsilon: 0.5, Seed: 17, Workers: 1}
+	mgr, recs, _ := auditedCampaign(t, reg, cfg, φ)
+	var ckIdxs []int
+	for i, rec := range recs {
+		if rec.Type == journal.TypeCheckpoint {
+			ckIdxs = append(ckIdxs, i)
+		}
+	}
+	if len(ckIdxs) < 2 {
+		t.Fatalf("campaign wrote %d checkpoints, want at least 2", len(ckIdxs))
+	}
+	ckIdx := ckIdxs[len(ckIdxs)/2]
+	drifts := map[string]func(ck *journal.Checkpoint){
+		"rng position":      func(ck *journal.Checkpoint) { ck.Rng[1]++ },
+		"pool digest":       func(ck *journal.Checkpoint) { ck.PoolDigest ^= 1 },
+		"policy warm start": func(ck *journal.Checkpoint) { ck.Policy.LastPool++ },
+		"active set":        func(ck *journal.Checkpoint) { ck.Active = ck.Active[1:] },
+		"round trace":       func(ck *journal.Checkpoint) { ck.Rounds[0].Marginal++ },
+	}
+	for name, drift := range drifts {
+		t.Run(name, func(t *testing.T) {
+			var ck journal.Checkpoint
+			if err := json.Unmarshal(recs[ckIdx].Body, &ck); err != nil {
+				t.Fatal(err)
+			}
+			drift(&ck)
+			body, err := json.Marshal(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := slices.Clone(recs)
+			bad[ckIdx] = journal.Record{Type: journal.TypeCheckpoint, Body: body}
+			if _, err := mgr.AuditCheckpoints(bad); err == nil {
+				t.Fatal("audit accepted a checkpoint that disagrees with its history")
+			}
+		})
+	}
+}
+
+// auditedCampaign plays one journaled campaign with a checkpoint after
+// every round and compaction off — to completion against φ, or, with φ
+// nil, for 10 rounds that activate only each batch — and returns its
+// manager, the records of its log and its round count.
+func auditedCampaign(t *testing.T, reg *serve.Registry, cfg serve.Config, φ *diffusion.Realization) (*serve.Manager, []journal.Record, int) {
+	t.Helper()
+	dir := t.TempDir()
+	mgr := serve.NewManager(reg, 0, serve.WithJournalDir(dir),
+		serve.WithCheckpointEvery(1), serve.WithCompaction(false))
+	t.Cleanup(mgr.CloseAll)
+	s, err := mgr.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if φ != nil {
+		drive(t, s, φ)
+	} else {
+		driveBatchOnlyRounds(t, s, 10)
+	}
+	st := s.Status()
+	if st.Done != (φ != nil) || st.Checkpoints != st.Round {
+		t.Fatalf("campaign ended at round %d done=%v with %d checkpoints; want one per round",
+			st.Round, st.Done, st.Checkpoints)
+	}
+	if mt := mgr.Metrics(); mt.CheckpointFailures != 0 {
+		t.Fatalf("%d checkpoints failed to encode", mt.CheckpointFailures)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, s.ID()+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, tailErr := journal.Scan(data)
+	if tailErr != nil {
+		t.Fatal(tailErr)
+	}
+	return mgr, recs, st.Round
+}
 
 // rewriteWAL loads a clean log, hands every decoded checkpoint to
 // mutate (index = record position) and re-frames the file with correct
@@ -290,13 +474,63 @@ func TestCheckpointingOutputInvisible(t *testing.T) {
 	}
 	mt := onMgr.Metrics()
 	if mt.CheckpointFailures != 0 {
-		t.Errorf("%d checkpoint verification failures on a healthy run", mt.CheckpointFailures)
+		t.Errorf("%d checkpoints failed to encode on a healthy run", mt.CheckpointFailures)
 	}
 	if mt.CompactedBytes == 0 {
 		t.Error("compaction reclaimed 0 bytes over a 6-round campaign")
 	}
 	if st := offMgr.Stats(); st.Checkpoints != 0 {
 		t.Errorf("checkpoint-off manager wrote %d checkpoints", st.Checkpoints)
+	}
+}
+
+// TestDoneSessionRestoresFromCompletionCheckpoint pins the checkpoint
+// written by the round that completes a campaign: a finished session
+// recovered before its DELETE restores from it with no round to replay,
+// however far behind the last interval boundary lies.
+func TestDoneSessionRestoresFromCompletionCheckpoint(t *testing.T) {
+	reg := testRegistry(t)
+	g, err := reg.Graph("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(5))
+	cfg := serve.Config{Dataset: "test", EtaFrac: 0.1, Epsilon: 0.5, Seed: 17, Workers: 1}
+	// An interval the campaign never reaches: the completion checkpoint is
+	// the only one.
+	opts := []serve.ManagerOption{serve.WithJournalDir(t.TempDir()), serve.WithCheckpointEvery(1000)}
+	mgr := serve.NewManager(reg, 0, opts...)
+	s, err := mgr.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, s, φ)
+	want := s.Status()
+	if !want.Done || want.Checkpoints != 1 || want.LastCheckpointRound != want.Round {
+		t.Fatalf("finished at round %d (done=%v) with %d checkpoints, the last at round %d; want one at the final round",
+			want.Round, want.Done, want.Checkpoints, want.LastCheckpointRound)
+	}
+	mgr.CloseAll()
+
+	m := serve.NewManager(reg, 0, opts...)
+	defer m.CloseAll()
+	rep, err := m.Recover("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recovered != 1 || rep.CheckpointRestores != 1 || rep.Rounds != 0 {
+		t.Fatalf("recovery report %+v, want one session restored with no round replayed", rep)
+	}
+	rs, err := m.Session(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Status(); !got.Done || got.Round != want.Round || got.Seeds != want.Seeds || got.Activated != want.Activated {
+		t.Fatalf("restored to round %d (done=%v, %d seeds, %d active); want round %d, %d seeds, %d active",
+			got.Round, got.Done, got.Seeds, got.Activated, want.Round, want.Seeds, want.Activated)
+	}
+	if _, err := rs.NextBatch(); !errors.Is(err, serve.ErrDone) {
+		t.Fatalf("NextBatch on the restored finished session: %v, want ErrDone", err)
 	}
 }
 

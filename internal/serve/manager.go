@@ -263,11 +263,10 @@ func WithIdleTTL(ttl time.Duration) ManagerOption {
 // every k rounds (and at campaign completion), so recovery and
 // reactivation replay at most k rounds past the newest checkpoint
 // instead of the whole history. k <= 0 disables checkpointing (the
-// journal degrades gracefully to the plain full-replay log of PR 4);
-// without this option a journaled manager checkpoints every
-// DefaultCheckpointEvery rounds. Checkpoints are invisible in the
-// output: a session proposes byte-identical batches with checkpointing
-// on, off, or restored-from.
+// journal degrades gracefully to a plain full-replay log); without this
+// option a journaled manager checkpoints every DefaultCheckpointEvery
+// rounds. Checkpoints are invisible in the output: a session proposes
+// byte-identical batches with checkpointing on, off, or restored-from.
 func WithCheckpointEvery(k int) ManagerOption {
 	return func(m *Manager) {
 		if k < 0 {
@@ -927,9 +926,9 @@ type Stats struct {
 	// manager was built.
 	Passivations  uint64
 	Reactivations uint64
-	// Checkpoints counts verified checkpoints written, Compactions the
-	// log truncations past them, and CheckpointRestores the recoveries
-	// and reactivations that resumed from a checkpoint instead of a full
+	// Checkpoints counts checkpoints written, Compactions the log
+	// truncations past them, and CheckpointRestores the recoveries and
+	// reactivations that resumed from a checkpoint instead of a full
 	// replay.
 	Checkpoints        uint64
 	Compactions        uint64
@@ -1015,8 +1014,9 @@ type Metrics struct {
 	// manager was built.
 	Passivations  uint64
 	Reactivations uint64
-	// Checkpoints / CheckpointFailures count verified checkpoints written
-	// and snapshots skipped because they failed write-time verification.
+	// Checkpoints / CheckpointFailures count checkpoints written and
+	// snapshots skipped because they failed to encode (an oversized
+	// record; the session keeps journaling and recovers by replay).
 	Checkpoints        uint64
 	CheckpointFailures uint64
 	// Compactions counts log truncations past a checkpoint, and

@@ -45,8 +45,8 @@ func benchReactivate(b *testing.B, opts ...serve.ManagerOption) {
 	}
 }
 
-// BenchmarkReactivateCheckpointed reactivates through a verified
-// checkpoint (interval 4, compaction on): restore the round-8 snapshot
+// BenchmarkReactivateCheckpointed reactivates through a checkpoint
+// (interval 4, compaction on): restore the round-8 snapshot
 // and replay the 2-round suffix.
 func BenchmarkReactivateCheckpointed(b *testing.B) {
 	benchReactivate(b, serve.WithCheckpointEvery(4))

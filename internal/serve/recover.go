@@ -26,7 +26,7 @@ type RecoveryReport struct {
 	// only the suffix past the newest trusted checkpoint is replayed, so
 	// this stays bounded by the checkpoint interval).
 	Rounds int
-	// CheckpointRestores counts sessions that resumed from a verified
+	// CheckpointRestores counts sessions that resumed from a trusted
 	// checkpoint instead of replaying their full history.
 	CheckpointRestores int
 	// Warnings lists per-session anomalies: truncated torn tails,
@@ -171,12 +171,11 @@ func (m *Manager) recoverOne(st *journal.Store, id string, rep *RecoveryReport) 
 // rebuild constructs a fresh session from a log's records — the created
 // record resolves to a Config exactly as Create saw it, then the
 // journaled history is replayed through the deterministic engine — and
-// returns it with the number of rounds replayed and whether a verified
+// returns it with the number of rounds replayed and whether a trusted
 // checkpoint shortcut the replay. It is the shared core of crash
-// recovery (recoverOne), idle reactivation (Manager.reactivate) and
-// write-time checkpoint verification; the session comes back
-// unjournaled and unregistered, with any partially built state released
-// on failure.
+// recovery (recoverOne) and idle reactivation (Manager.reactivate); the
+// session comes back unjournaled and unregistered, with any partially
+// built state released on failure.
 //
 // When the log carries a trusted checkpoint (digest chain intact,
 // environment pins match), rebuild restores the snapshot and replays

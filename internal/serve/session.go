@@ -363,12 +363,13 @@ func (s *Session) Observe(activated []int32) (Progress, error) {
 	if s.activatedLocked() >= s.eta {
 		s.phase = PhaseDone
 	}
-	// Checkpoint on interval boundaries and at campaign completion: the
-	// observation above is already durable, so a skipped or failed
-	// checkpoint never loses a transition — it only costs replay time.
-	if s.jw != nil && s.ckptEvery > 0 && s.round > s.lastCkptRound &&
-		(s.round%s.ckptEvery == 0 || s.phase == PhaseDone) {
-		if err := s.maybeCheckpointLocked(); err != nil {
+	// Checkpoint on interval boundaries and at campaign completion, so a
+	// finished session that outlives passivation or a restart restores
+	// with nothing to replay. The observation above is already durable, so
+	// a skipped or failed checkpoint never loses a transition — it only
+	// costs replay time.
+	if s.jw != nil && s.ckptEvery > 0 && (s.round%s.ckptEvery == 0 || s.phase == PhaseDone) {
+		if err := s.checkpointLocked(); err != nil {
 			// Append/reopen failure under fail-stop: the session is poisoned
 			// (write-ahead contract), but the observation itself was committed
 			// — recovery resumes past it. Under the degrade policy the error

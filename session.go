@@ -131,23 +131,23 @@ func WithIdleTTL(ttl time.Duration) SessionManagerOption {
 	return serve.WithIdleTTL(ttl)
 }
 
-// WithCheckpointEvery sets how often a durable session writes a verified
-// state checkpoint into its write-ahead log: every k committed rounds
-// (and at campaign completion), 0 to disable. The default is
+// WithCheckpointEvery sets how often a durable session writes a state
+// checkpoint into its write-ahead log: every k committed rounds (and at
+// campaign completion), 0 to disable. The default is
 // serve.DefaultCheckpointEvery. A checkpoint snapshots the session's
-// adaptive state and RNG positions and is byte-verified against a replay
-// of its own log before being trusted; recovery and reactivation then
-// restore the newest trusted checkpoint and replay only the rounds after
-// it — O(k) instead of O(rounds) — falling back to full replay whenever
-// a checkpoint is damaged or the environment drifted. Checkpoints are
-// invisible in the proposal stream: sessions propose byte-identical
-// batches with checkpointing on, off, or at any interval.
+// adaptive state and RNG positions, pinned to its place in the log by a
+// digest chain; recovery and reactivation restore the newest checkpoint
+// whose pins hold and replay only the rounds after it — O(k) instead of
+// O(rounds) — falling back to full replay whenever a checkpoint is
+// damaged or the environment drifted.
+// Checkpoints are invisible in the proposal stream: sessions propose
+// byte-identical batches with checkpointing on, off, or at any interval.
 func WithCheckpointEvery(k int) SessionManagerOption {
 	return serve.WithCheckpointEvery(k)
 }
 
 // WithCompaction toggles journal compaction (on by default): after each
-// verified checkpoint the session's log is atomically rewritten as
+// checkpoint the session's log is atomically rewritten as
 // [created record][checkpoint][suffix], bounding the log's disk footprint
 // by the checkpoint interval instead of the campaign length. Turning it
 // off keeps the full history on disk, preserving the ability to fall
