@@ -42,15 +42,16 @@
 // With -idle-ttl additionally set, sessions a client stops touching are
 // passivated: their sampling engine and mRR pool (the dominant
 // per-session memory) are released while the journal keeps their state,
-// and the next API call reactivates them transparently by replaying the
-// log — the reactivated session proposes byte-identical batches.
+// checkpointed on the way out, and the next API call reactivates them
+// transparently by restoring that checkpoint — the reactivated session
+// proposes byte-identical batches.
 //
 // Durable sessions additionally write state checkpoints into their
 // logs every -checkpoint-every rounds (default 8, 0 = off), and
 // by default compact the log past each one (-checkpoint-compact). A
-// checkpoint turns recovery and reactivation from a full-history replay
-// into restoring the snapshot plus replaying at most one interval's
-// worth of rounds, and compaction bounds each log's disk footprint the
+// checkpoint turns recovery from a full-history replay into restoring
+// the snapshot plus replaying at most one interval's worth of rounds
+// (reactivation restores the passivation checkpoint and replays none), and compaction bounds each log's disk footprint the
 // same way. Checkpoints never change what a session proposes.
 //
 // Journal I/O failures are handled in layers (docs/OPERATIONS.md,

@@ -116,7 +116,7 @@ func (sv *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP asmserve_passivations_total Idle sessions passivated to the write-ahead journal since boot.")
 	fmt.Fprintln(w, "# TYPE asmserve_passivations_total counter")
 	fmt.Fprintf(w, "asmserve_passivations_total %d\n", mt.Passivations)
-	fmt.Fprintln(w, "# HELP asmserve_reactivations_total Passivated sessions reactivated by log replay since boot.")
+	fmt.Fprintln(w, "# HELP asmserve_reactivations_total Passivated sessions reactivated from the journal since boot.")
 	fmt.Fprintln(w, "# TYPE asmserve_reactivations_total counter")
 	fmt.Fprintf(w, "asmserve_reactivations_total %d\n", mt.Reactivations)
 	fmt.Fprintln(w, "# HELP asmserve_checkpoints_total State checkpoints written into session journals since boot.")

@@ -62,9 +62,10 @@ type statusResponse struct {
 	IdleSeconds    float64 `json:"idle_seconds"`
 	SelectSeconds  float64 `json:"select_seconds"`
 	// Checkpoints counts the checkpoints this session has written;
-	// LastCheckpointRound is the round the newest one snapshots (both are
-	// restored from the checkpoint itself on recovery, so they are stable
-	// across restarts).
+	// LastCheckpointRound is the last committed round the newest one
+	// covers (one taken with a batch pending covers the rounds before
+	// it). Both are restored from the checkpoint itself on recovery, so
+	// they are stable across restarts.
 	Checkpoints         int `json:"checkpoints"`
 	LastCheckpointRound int `json:"last_checkpoint_round"`
 	// Degraded marks a session serving non-durably after a final journal
@@ -262,9 +263,9 @@ func (sv *server) handleNext(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	t0 := time.Now()
 	// Retry once through the manager if an idle sweep passivates the
-	// session between our lookup and the call: the re-fetch replays the
-	// journal and hands back a live session, making passivation invisible
-	// to clients.
+	// session between our lookup and the call: the re-fetch reactivates
+	// it from the journal and hands back a live session, making
+	// passivation invisible to clients.
 	for attempt := 0; ; attempt++ {
 		s, err := sv.mgr.Session(id)
 		if err != nil {
@@ -376,7 +377,7 @@ func parseModel(name string) (diffusion.Model, error) {
 
 // lookupStatus maps Manager.Session errors to HTTP statuses: an id not
 // in the table is the caller's 404; anything else means the session
-// exists but its reactivation replay failed (journal damaged on disk,
+// exists but its reactivation failed (journal damaged on disk,
 // environment drift) — a server-side 500 the operator must see, never a
 // 404 that tells the client its campaign is gone.
 func lookupStatus(err error) int {
@@ -413,7 +414,7 @@ func createStatus(err error) int {
 //   - 429 (session limit) advertises a flat 5s — capacity frees when
 //     some client closes a session, which we cannot predict;
 //   - any other 503 (a passivation race lost twice) advertises 1s — the
-//     next attempt's journal replay almost always wins.
+//     next attempt's reactivation almost always wins.
 func (sv *server) setRetryAfter(w http.ResponseWriter, status int, err error) {
 	switch {
 	case errors.Is(err, serve.ErrJournalUnhealthy):

@@ -13,6 +13,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"asti/internal/bitset"
@@ -203,13 +204,16 @@ func ResetPolicy(p Policy) {
 	}
 }
 
-// ValidateBatch rejects batches containing out-of-range or
-// already-active seeds — the guard every loop hosting a Policy applies
+// ValidateBatch rejects batches containing out-of-range, already-active
+// or repeated seeds — the guard every loop hosting a Policy applies
 // before committing a proposal.
 func ValidateBatch(g *graph.Graph, active *bitset.Set, batch []int32) error {
-	for _, s := range batch {
+	for i, s := range batch {
 		if s < 0 || s >= g.N() || active.Get(s) {
 			return fmt.Errorf("policy selected invalid or active seed %d", s)
+		}
+		if slices.Contains(batch[:i], s) {
+			return fmt.Errorf("policy selected seed %d twice", s)
 		}
 	}
 	return nil

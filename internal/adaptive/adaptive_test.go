@@ -111,6 +111,29 @@ func TestRunRejectsActiveSeed(t *testing.T) {
 	}
 }
 
+// TestValidateBatch pins the proposal guard: in-range, inactive,
+// distinct seeds pass; an out-of-range, already-active or repeated seed
+// fails.
+func TestValidateBatch(t *testing.T) {
+	g := gen.Line(4, 1.0)
+	active := bitset.New(4)
+	active.Set(1)
+	for _, tc := range []struct {
+		batch []int32
+		ok    bool
+	}{
+		{[]int32{0, 2, 3}, true},
+		{[]int32{-1}, false},
+		{[]int32{4}, false},
+		{[]int32{0, 1}, false},
+		{[]int32{2, 0, 2}, false},
+	} {
+		if err := ValidateBatch(g, active, tc.batch); (err == nil) != tc.ok {
+			t.Errorf("ValidateBatch(%v) = %v, want ok=%v", tc.batch, err, tc.ok)
+		}
+	}
+}
+
 // TestRunAlwaysReachesEta: the structural guarantee of adaptivity — any
 // valid policy run to completion meets the threshold on every realization.
 func TestRunAlwaysReachesEta(t *testing.T) {

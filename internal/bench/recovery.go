@@ -73,20 +73,20 @@ type CheckpointedRecoveryPoint struct {
 
 // PassivationPoint is the measured passivate→reactivate round trip at
 // one campaign length: what parking an idle session costs, and what the
-// first call after it pays to replay the session back to life.
+// first call after it pays to bring the session back to life.
 type PassivationPoint struct {
 	// Rounds is how many committed rounds the session held.
 	Rounds int `json:"rounds"`
 	// Trials is the number of passivate→reactivate repetitions.
 	Trials int `json:"trials"`
 	// PassivateP50Seconds / PassivateP99Seconds are Manager.Passivate
-	// latency percentiles across trials (releasing the engine, pool and
-	// journal writer).
+	// latency percentiles across trials (checkpointing the session, then
+	// releasing the engine, pool and journal writer).
 	PassivateP50Seconds float64 `json:"passivate_p50_seconds"`
 	PassivateP99Seconds float64 `json:"passivate_p99_seconds"`
 	// ReactivateP50Seconds / ReactivateP99Seconds are the latency of the
-	// Manager.Session lookup that replays the log and resumes the
-	// session.
+	// Manager.Session lookup that restores the passivation checkpoint and
+	// resumes the session.
 	ReactivateP50Seconds float64 `json:"reactivate_p50_seconds"`
 	ReactivateP99Seconds float64 `json:"reactivate_p99_seconds"`
 	// Identical reports the acceptance check: every trial's reactivated
@@ -130,7 +130,7 @@ type ServePerfReport struct {
 	// checkpoint interval) with checkpointing and compaction on.
 	CheckpointedRecovery []CheckpointedRecoveryPoint `json:"checkpointed_recovery"`
 	// Passivation is the idle passivate→reactivate round-trip curve vs
-	// rounds replayed.
+	// campaign length.
 	Passivation []PassivationPoint `json:"passivation"`
 }
 
@@ -462,8 +462,8 @@ func killAndRecover(reg *serve.Registry, cfg serve.Config, rounds int, opts ...s
 
 // passivationPoint runs `trials` passivate→reactivate round trips, each
 // on a fresh session journaled for exactly `rounds` committed rounds,
-// timing Manager.Passivate (release) and the Manager.Session lookup
-// that replays the log (reactivation). Every reactivated session's next
+// timing Manager.Passivate (checkpoint and release) and the
+// Manager.Session lookup that restores the checkpoint (reactivation). Every reactivated session's next
 // proposal is verified against an uninterrupted reference session.
 func passivationPoint(reg *serve.Registry, cfg serve.Config, rounds, trials int) (*PassivationPoint, error) {
 	refMgr := serve.NewManager(reg, 0)
@@ -510,7 +510,7 @@ func passivationPoint(reg *serve.Registry, cfg serve.Config, rounds, trials int)
 				return fmt.Errorf("bench: session %s not passivated", id)
 			}
 			t1 := time.Now()
-			rs, err := mgr.Session(id) // reactivates by replaying the log
+			rs, err := mgr.Session(id) // reactivates from the passivation checkpoint
 			react = append(react, time.Since(t1).Seconds())
 			if err != nil {
 				return err

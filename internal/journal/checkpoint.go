@@ -24,7 +24,8 @@ import "hash/crc32"
 // equals the state a replay of its history computes is a property of
 // the writer's code, checked by its tests, and not re-checked per write.
 type Checkpoint struct {
-	// Round is the last committed (observed) round the snapshot covers.
+	// Round is the last committed (observed) round the snapshot covers
+	// (0 only for a snapshot taken with the first batch pending).
 	Round int `json:"round"`
 	// Done records that the campaign reached η at this round.
 	Done bool `json:"done,omitempty"`
@@ -37,6 +38,12 @@ type Checkpoint struct {
 	Delta []int32 `json:"delta,omitempty"`
 	// Seeds is the committed seed sequence, in commit order.
 	Seeds []int32 `json:"seeds,omitempty"`
+	// Pending is the batch proposed for round Round+1 and not yet
+	// observed: a session parked between a proposal and its observation
+	// is snapshotted with it (and with the policy state its selection
+	// left), and restores waiting for that observation. Omitted
+	// otherwise, so snapshots without one encode as they always did.
+	Pending []int32 `json:"pending,omitempty"`
 	// Rounds carries the per-round traces (reporting state; replay past
 	// the checkpoint appends to it).
 	Rounds []CheckpointRound `json:"rounds,omitempty"`

@@ -75,6 +75,42 @@ func TestCheckpointGoldenFrame(t *testing.T) {
 	}
 }
 
+// TestPendingCheckpointRoundTrip: a checkpoint taken with a batch
+// awaiting its observation carries the batch under "pending" and frames,
+// scans and decodes back to the same struct; the same checkpoint without
+// one encodes as the golden frame's era did, with no "pending" key.
+func TestPendingCheckpointRoundTrip(t *testing.T) {
+	ck := goldenCheckpoint()
+	ck.Round, ck.Rounds = 2, ck.Rounds[:2]
+	ck.Pending = []int32{7, 9}
+	frame, err := journal.Marshal(journal.TypeCheckpoint, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, valid, tailErr := journal.Scan(frame)
+	if tailErr != nil || valid != len(frame) || len(recs) != 1 || recs[0].Type != journal.TypeCheckpoint {
+		t.Fatalf("pending checkpoint scan: %d records, valid %d, tailErr %v", len(recs), valid, tailErr)
+	}
+	if !bytes.Contains(recs[0].Body, []byte(`"pending":[7,9]`)) {
+		t.Fatalf("pending batch missing from the encoding: %s", recs[0].Body)
+	}
+	var got journal.Checkpoint
+	if err := json.Unmarshal(recs[0].Body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ck) {
+		t.Fatalf("pending round-trip:\n got %+v\nwant %+v", got, ck)
+	}
+	ck.Pending = nil
+	plain, err := journal.Marshal(journal.TypeCheckpoint, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(plain, []byte(`"pending"`)) {
+		t.Fatalf("checkpoint without a pending batch encodes one: %s", plain)
+	}
+}
+
 // TestDigestRecordGolden pins the history-digest chain a checkpoint's
 // HistoryDigest commits to: the chain value over the golden record must
 // never change, and DigestFrame over a framed record must agree with

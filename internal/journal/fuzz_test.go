@@ -34,6 +34,11 @@ func FuzzScan(f *testing.F) {
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2]) // torn checkpoint
 	}
+	// A checkpoint parked between a proposal and its observation.
+	ck.Round, ck.Rounds, ck.Pending = 1, ck.Rounds[:1], []int32{6, 2}
+	if frame, err := journal.Marshal(journal.TypeCheckpoint, ck); err == nil {
+		f.Add(frame)
+	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}) // huge length claim
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, tailErr := journal.Scan(data)

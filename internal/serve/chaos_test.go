@@ -397,6 +397,53 @@ func TestPersistentFailureFailStop(t *testing.T) {
 	}
 }
 
+// TestPassivationCheckpointFailure: the checkpoint a passivation writes
+// is an append like any other, so when it fails for good the durability
+// policy decides, exactly as for a failed observation, and the session
+// is not passivated: fail-stop poisons it (Passivate reports why), and
+// degrade keeps it serving without a journal, its pending batch intact.
+func TestPassivationCheckpointFailure(t *testing.T) {
+	for _, policy := range []serve.DurabilityPolicy{serve.FailStop, serve.DegradeToNonDurable} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			mgr := serve.NewManager(testRegistry(t), 0, serve.WithJournalDir(dir),
+				serve.WithDurabilityPolicy(policy))
+			defer mgr.CloseAll()
+			s, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.5, Epsilon: 0.5, Seed: 11, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := s.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			activatePlan(t, dir, "journal/checkpoint-sync:times=0:err=io")
+			ok, err := mgr.Passivate(s.ID())
+			if ok {
+				t.Fatal("session passivated although its checkpoint failed to append")
+			}
+			st, m := s.Status(), mgr.Stats()
+			if m.Passivated != 0 || m.Passivations != 0 || m.Checkpoints != 0 {
+				t.Fatalf("counters after the failed passivation: %+v", m)
+			}
+			if policy == serve.FailStop {
+				if err == nil || st.Phase != "closed" || m.Poisoned != 1 {
+					t.Fatalf("fail-stop: Passivate err %v, phase %s, %d poisoned; want an error and a poisoned session",
+						err, st.Phase, m.Poisoned)
+				}
+				return
+			}
+			if err != nil || st.Phase != "observe" || !st.Degraded || st.Durable || m.Degraded != 1 {
+				t.Fatalf("degrade: Passivate err %v, status %+v, %d degraded; want a degraded session still observing",
+					err, st, m.Degraded)
+			}
+			if _, err := s.Observe(batch); err != nil {
+				t.Fatalf("degraded session refused its observation: %v", err)
+			}
+		})
+	}
+}
+
 // TestPersistentFailureDegrade: under the degrade policy the same
 // unrelenting fault keeps the session serving — Durable flips false,
 // Degraded carries the cause, batches stay byte-identical — and a

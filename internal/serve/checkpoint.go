@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"asti/internal/adaptive"
 	"asti/internal/bitset"
@@ -15,8 +16,9 @@ import (
 
 // DefaultCheckpointEvery is the checkpoint interval a journaled manager
 // uses unless WithCheckpointEvery overrides it: after every 8 committed
-// rounds the session snapshots its state into the log, so recovery and
-// reactivation replay at most 8 rounds instead of the whole history.
+// rounds the session snapshots its state into the log, so recovery
+// replays at most 8 rounds instead of the whole history (reactivation
+// restores the checkpoint passivation wrote and replays none).
 const DefaultCheckpointEvery = 8
 
 // policyCheckpointer is the contract a proposal policy must meet for its
@@ -53,20 +55,28 @@ func (s *Session) exportCheckpointLocked() (journal.Checkpoint, bool) {
 			NiBefore: rt.NiBefore, EtaIBefore: rt.EtaIBefore,
 		}
 	}
+	digest := pc.PoolFingerprint()
+	if digest == 0 {
+		// A restored policy has no pool until its first selection
+		// regenerates it; until then its pool is the one the restored
+		// snapshot fingerprinted.
+		digest = s.restoredPool
+	}
 	return journal.Checkpoint{
-		Round:  s.round,
-		Done:   s.phase == PhaseDone,
-		Seq:    s.ckpts + 1,
-		Active: active,
-		Delta:  append([]int32(nil), s.delta...),
-		Seeds:  append([]int32(nil), s.seeds...),
-		Rounds: rounds,
-		Rng:    s.src.State(),
+		Round:   len(s.rounds), // committed rounds: a pending batch's round is not one yet
+		Done:    s.phase == PhaseDone,
+		Seq:     s.ckpts + 1,
+		Active:  active,
+		Delta:   append([]int32(nil), s.delta...),
+		Seeds:   append([]int32(nil), s.seeds...),
+		Pending: slices.Clone(s.pending),
+		Rounds:  rounds,
+		Rng:     s.src.State(),
 		Policy: journal.PolicyCheckpoint{
 			RunSeed: cs.RunSeed, LastRound: cs.LastRound, LastNi: cs.LastNi,
 			LastPool: cs.LastPool, Fallbacks: cs.Fallbacks, ReusePool: cs.ReusePool,
 		},
-		PoolDigest:     pc.PoolFingerprint(),
+		PoolDigest:     digest,
 		SamplerVersion: s.samplerVer,
 		GraphSig:       s.graphSig,
 		HistoryDigest:  s.histDigest,
@@ -74,35 +84,46 @@ func (s *Session) exportCheckpointLocked() (journal.Checkpoint, bool) {
 }
 
 // applyCheckpoint rewinds a freshly built (never stepped) session to a
-// checkpoint's state. It validates the snapshot's internal consistency —
-// a checkpoint whose digest chain held can still be semantically damaged
-// (a bit flip with a fixed-up CRC) — and leaves the session untouched-up
-// to the first failure; callers discard the session and fall back to
-// full replay on any error. Environment pins (sampler version, graph
-// signature) are the caller's to check: they need session fields this
-// method is in the middle of establishing.
+// checkpoint's state — waiting for the pending batch's observation if
+// the snapshot carries one. It validates the snapshot's internal
+// consistency — a checkpoint whose digest chain held can still be
+// semantically damaged (a bit flip with a fixed-up CRC) — and leaves the
+// session untouched up to the first failure; callers discard the
+// session and fall back to full replay on any error. Environment pins
+// (sampler version, graph signature) are the caller's to check: they
+// need session fields this method is in the middle of establishing.
 func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
 	pc, ok := s.policy.(policyCheckpointer)
 	if !ok {
 		return errors.New("policy does not support checkpoints")
 	}
-	if ck.Round < 1 {
+	if ck.Round < 0 || (ck.Round == 0 && len(ck.Pending) == 0) {
 		return fmt.Errorf("checkpoint round %d", ck.Round)
 	}
 	if len(ck.Rounds) != ck.Round {
 		return fmt.Errorf("checkpoint carries %d round traces for round %d", len(ck.Rounds), ck.Round)
 	}
 	n := s.g.N()
+	active := bitset.New(int(n))
 	prev := int32(-1)
 	for _, v := range ck.Active {
 		if v <= prev || v >= n {
 			return fmt.Errorf("checkpoint active list invalid at node %d", v)
 		}
+		active.Set(v)
 		prev = v
 	}
 	for _, v := range ck.Delta {
 		if v < 0 || v >= n {
 			return fmt.Errorf("checkpoint delta node %d outside [0, n=%d)", v, n)
+		}
+	}
+	if len(ck.Pending) > 0 {
+		if ck.Done {
+			return errors.New("checkpoint of a finished campaign carries a pending batch")
+		}
+		if err := adaptive.ValidateBatch(s.g, active, ck.Pending); err != nil {
+			return fmt.Errorf("checkpoint pending batch: %w", err)
 		}
 	}
 	if activated := int64(len(ck.Active)); ck.Done != (activated >= s.eta) {
@@ -115,13 +136,10 @@ func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
 	}); err != nil {
 		return err
 	}
-	s.active = bitset.New(int(n))
-	for _, v := range ck.Active {
-		s.active.Set(v)
-	}
+	s.active = active
 	inactive := make([]int32, 0, int(n)-len(ck.Active))
 	for v := int32(0); v < n; v++ {
-		if !s.active.Get(v) {
+		if !active.Get(v) {
 			inactive = append(inactive, v)
 		}
 	}
@@ -140,16 +158,31 @@ func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
 	if ck.Done {
 		s.phase = PhaseDone
 	}
+	if len(ck.Pending) > 0 {
+		s.round++
+		s.pending = slices.Clone(ck.Pending)
+		s.phase = PhaseObserve
+	}
 	s.src.SetState(ck.Rng)
+	s.restoredPool = ck.PoolDigest
 	s.ckpts = ck.Seq
 	s.lastCkptRound = ck.Round
+	s.ckptPending = len(ck.Pending) > 0
 	return nil
+}
+
+// checkpointCurrentLocked reports whether the newest checkpoint — or,
+// before the first, the created record — already describes the
+// session's state: no round committed and no batch proposed since.
+// Callers hold s.mu.
+func (s *Session) checkpointCurrentLocked() bool {
+	return s.lastCkptRound == len(s.rounds) && s.ckptPending == (s.pending != nil)
 }
 
 // checkpointLocked appends one checkpoint for the session's current
 // state and, if compaction is on, truncates the log past it. Callers
-// hold s.mu and have checked the schedule (interval boundary or campaign
-// completion, journal armed).
+// hold s.mu and have checked the schedule (interval boundary, campaign
+// completion or passivation; journal armed).
 //
 // Writing a checkpoint is encode plus append, under the session lock.
 // That export, codec and restore agree with a replay of the log is a
@@ -186,7 +219,8 @@ func (s *Session) checkpointLocked() error {
 		return nil
 	}
 	s.ckpts = ck.Seq
-	s.lastCkptRound = s.round
+	s.lastCkptRound = ck.Round
+	s.ckptPending = len(ck.Pending) > 0
 	if s.mgr != nil {
 		s.mgr.noteCheckpoint()
 	}

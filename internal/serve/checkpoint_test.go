@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/journal"
 	"asti/internal/rng"
@@ -29,6 +30,9 @@ import (
 // and ASTI-3 part of that matrix at one worker. AuditCheckpoints checks
 // every snapshot against a full replay of the log before it, against its
 // own restore, and against a session restored from the previous one.
+// Every campaign also passivates its session after each proposal, so
+// half the audited snapshots carry a pending batch and every observation
+// lands on a session restored from one.
 func TestCheckpointAuditSweep(t *testing.T) {
 	reg := testRegistry(t)
 	g, err := reg.Graph("test")
@@ -73,8 +77,8 @@ func TestCheckpointAuditSweep(t *testing.T) {
 								if err != nil {
 									t.Fatalf("audit after %d of %d checkpoints: %v", n, rounds, err)
 								}
-								if n != rounds {
-									t.Fatalf("audited %d checkpoints over %d rounds, want one per round", n, rounds)
+								if n != 2*rounds {
+									t.Fatalf("audited %d checkpoints over %d rounds, want two per round", n, rounds)
 								}
 								if cfg.MaxSetsPerRound > 0 {
 									if top := largestPool(t, recs); top != cfg.MaxSetsPerRound {
@@ -121,30 +125,50 @@ func TestCheckpointAuditCatchesDrift(t *testing.T) {
 	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(5))
 	cfg := serve.Config{Dataset: "test", EtaFrac: 0.1, Epsilon: 0.5, Seed: 17, Workers: 1}
 	mgr, recs, _ := auditedCampaign(t, reg, cfg, φ)
-	var ckIdxs []int
+	// Committed and pending checkpoints, by record index.
+	var ckIdxs [2][]int
 	for i, rec := range recs {
 		if rec.Type == journal.TypeCheckpoint {
-			ckIdxs = append(ckIdxs, i)
+			var ck journal.Checkpoint
+			if err := json.Unmarshal(rec.Body, &ck); err != nil {
+				t.Fatal(err)
+			}
+			pending := 0
+			if len(ck.Pending) > 0 {
+				pending = 1
+			}
+			ckIdxs[pending] = append(ckIdxs[pending], i)
 		}
 	}
-	if len(ckIdxs) < 2 {
-		t.Fatalf("campaign wrote %d checkpoints, want at least 2", len(ckIdxs))
+	if len(ckIdxs[0]) < 2 || len(ckIdxs[1]) < 2 {
+		t.Fatalf("campaign wrote %d committed and %d pending checkpoints, want at least 2 of each",
+			len(ckIdxs[0]), len(ckIdxs[1]))
 	}
-	ckIdx := ckIdxs[len(ckIdxs)/2]
-	drifts := map[string]func(ck *journal.Checkpoint){
-		"rng position":      func(ck *journal.Checkpoint) { ck.Rng[1]++ },
-		"pool digest":       func(ck *journal.Checkpoint) { ck.PoolDigest ^= 1 },
-		"policy warm start": func(ck *journal.Checkpoint) { ck.Policy.LastPool++ },
-		"active set":        func(ck *journal.Checkpoint) { ck.Active = ck.Active[1:] },
-		"round trace":       func(ck *journal.Checkpoint) { ck.Rounds[0].Marginal++ },
+	drifts := map[string]struct {
+		pending bool
+		drift   func(ck *journal.Checkpoint)
+	}{
+		"rng position":      {false, func(ck *journal.Checkpoint) { ck.Rng[1]++ }},
+		"pool digest":       {false, func(ck *journal.Checkpoint) { ck.PoolDigest ^= 1 }},
+		"policy warm start": {false, func(ck *journal.Checkpoint) { ck.Policy.LastPool++ }},
+		"active set":        {false, func(ck *journal.Checkpoint) { ck.Active = ck.Active[1:] }},
+		"round trace":       {false, func(ck *journal.Checkpoint) { ck.Rounds[0].Marginal++ }},
+		// Another inactive node, so the batch still passes restore's
+		// validation and only the comparison with replay can notice.
+		"pending batch": {true, func(ck *journal.Checkpoint) { ck.Pending[0] = firstFree(ck) }},
 	}
-	for name, drift := range drifts {
+	for name, d := range drifts {
 		t.Run(name, func(t *testing.T) {
+			idxs := ckIdxs[0]
+			if d.pending {
+				idxs = ckIdxs[1]
+			}
+			ckIdx := idxs[len(idxs)/2]
 			var ck journal.Checkpoint
 			if err := json.Unmarshal(recs[ckIdx].Body, &ck); err != nil {
 				t.Fatal(err)
 			}
-			drift(&ck)
+			d.drift(&ck)
 			body, err := json.Marshal(ck)
 			if err != nil {
 				t.Fatal(err)
@@ -158,10 +182,23 @@ func TestCheckpointAuditCatchesDrift(t *testing.T) {
 	}
 }
 
+// firstFree returns the lowest node a checkpoint holds neither active
+// nor pending.
+func firstFree(ck *journal.Checkpoint) int32 {
+	for v := int32(0); ; v++ {
+		if !slices.Contains(ck.Active, v) && !slices.Contains(ck.Pending, v) {
+			return v
+		}
+	}
+}
+
 // auditedCampaign plays one journaled campaign with a checkpoint after
 // every round and compaction off — to completion against φ, or, with φ
-// nil, for 10 rounds that activate only each batch — and returns its
-// manager, the records of its log and its round count.
+// nil, for 10 rounds that activate only each batch — passivating the
+// session after every proposal, so the log also holds a pending-batch
+// checkpoint per round and every observation runs on a session restored
+// from one. It returns the manager, the records of the log and the
+// round count.
 func auditedCampaign(t *testing.T, reg *serve.Registry, cfg serve.Config, φ *diffusion.Realization) (*serve.Manager, []journal.Record, int) {
 	t.Helper()
 	dir := t.TempDir()
@@ -172,18 +209,45 @@ func auditedCampaign(t *testing.T, reg *serve.Registry, cfg serve.Config, φ *di
 	if err != nil {
 		t.Fatal(err)
 	}
-	if φ != nil {
-		drive(t, s, φ)
-	} else {
-		driveBatchOnlyRounds(t, s, 10)
+	id := s.ID()
+	mirror := bitset.New(int(s.Graph().N()))
+	for r := 1; ; r++ {
+		batch, err := s.NextBatch()
+		if err != nil {
+			t.Fatalf("round %d NextBatch: %v", r, err)
+		}
+		if ok, err := mgr.Passivate(id); err != nil || !ok {
+			t.Fatalf("round %d Passivate: ok=%v err=%v", r, ok, err)
+		}
+		if s, err = mgr.Session(id); err != nil {
+			t.Fatal(err)
+		}
+		observed := batch
+		if φ != nil {
+			observed = φ.Spread(batch, mirror)
+			for _, v := range observed {
+				mirror.Set(v)
+			}
+		}
+		prog, err := s.Observe(observed)
+		if err != nil {
+			t.Fatalf("round %d Observe: %v", r, err)
+		}
+		if φ == nil && prog.Done {
+			t.Fatalf("batch-only campaign finished at round %d", r)
+		}
+		if prog.Done || (φ == nil && r == 10) {
+			break
+		}
 	}
 	st := s.Status()
-	if st.Done != (φ != nil) || st.Checkpoints != st.Round {
-		t.Fatalf("campaign ended at round %d done=%v with %d checkpoints; want one per round",
+	if st.Done != (φ != nil) || st.Checkpoints != 2*st.Round {
+		t.Fatalf("campaign ended at round %d done=%v with %d checkpoints; want two per round",
 			st.Round, st.Done, st.Checkpoints)
 	}
-	if mt := mgr.Metrics(); mt.CheckpointFailures != 0 {
-		t.Fatalf("%d checkpoints failed to encode", mt.CheckpointFailures)
+	if mt := mgr.Metrics(); mt.CheckpointFailures != 0 || mt.CheckpointRestores != mt.Reactivations {
+		t.Fatalf("%d checkpoints failed to encode, %d of %d reactivations restored one",
+			mt.CheckpointFailures, mt.CheckpointRestores, mt.Reactivations)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, s.ID()+".wal"))
 	if err != nil {
@@ -235,8 +299,8 @@ func rewriteWAL(t *testing.T, path string, mutate func(idx int, ck *journal.Chec
 // checkpoints. A 5-round campaign with checkpoints every 2 rounds and
 // compaction off leaves a log whose full history is still present, so
 // every kind of checkpoint damage has a safe landing: a semantically
-// corrupted snapshot (valid CRC, valid digest chain) falls back to full
-// replay, a broken digest chain falls back to the previous checkpoint,
+// corrupted snapshot (valid CRC, valid digest chain; a nonsense round,
+// or a pending batch restore must refuse) falls back to full replay, a broken digest chain falls back to the previous checkpoint,
 // both checkpoints broken falls back to full replay, environment-pin
 // drift falls back to full replay, and a CRC-level flip truncates the
 // log to its valid prefix. In every case boot succeeds and the session
@@ -310,6 +374,63 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 				})
 			},
 			wantRound: rounds, wantRestores: 0, wantWarning: "falling back to full replay",
+		},
+		{
+			// Round 0 is a valid position only with the first batch pending.
+			name: "round 0 without a pending batch",
+			corrupt: func(t *testing.T, path string) {
+				rewriteWAL(t, path, func(i int, ck *journal.Checkpoint) {
+					if i == newest {
+						ck.Round, ck.Rounds = 0, nil
+					}
+				})
+			},
+			wantRound: rounds, wantRestores: 0, wantWarning: "checkpoint round 0",
+		},
+		{
+			name: "pending batch on a finished campaign",
+			corrupt: func(t *testing.T, path string) {
+				rewriteWAL(t, path, func(i int, ck *journal.Checkpoint) {
+					if i == newest {
+						ck.Done, ck.Pending = true, []int32{firstFree(ck)}
+					}
+				})
+			},
+			wantRound: rounds, wantRestores: 0, wantWarning: "finished campaign carries a pending batch",
+		},
+		{
+			name: "pending seed out of range",
+			corrupt: func(t *testing.T, path string) {
+				rewriteWAL(t, path, func(i int, ck *journal.Checkpoint) {
+					if i == newest {
+						ck.Pending = []int32{1 << 30}
+					}
+				})
+			},
+			wantRound: rounds, wantRestores: 0, wantWarning: "invalid or active seed",
+		},
+		{
+			name: "pending seed already active",
+			corrupt: func(t *testing.T, path string) {
+				rewriteWAL(t, path, func(i int, ck *journal.Checkpoint) {
+					if i == newest {
+						ck.Pending = []int32{firstFree(ck), ck.Active[0]}
+					}
+				})
+			},
+			wantRound: rounds, wantRestores: 0, wantWarning: "invalid or active seed",
+		},
+		{
+			name: "pending seed repeated",
+			corrupt: func(t *testing.T, path string) {
+				rewriteWAL(t, path, func(i int, ck *journal.Checkpoint) {
+					if i == newest {
+						v := firstFree(ck)
+						ck.Pending = []int32{v, v}
+					}
+				})
+			},
+			wantRound: rounds, wantRestores: 0, wantWarning: "twice",
 		},
 		{
 			// A digest that no longer matches the chain: the newest

@@ -28,7 +28,8 @@ func checkpointsEquivalent(a, b journal.Checkpoint) bool {
 		return false
 	}
 	if !slices.Equal(a.Active, b.Active) || !slices.Equal(a.Delta, b.Delta) ||
-		!slices.Equal(a.Seeds, b.Seeds) || len(a.Rounds) != len(b.Rounds) {
+		!slices.Equal(a.Seeds, b.Seeds) || !slices.Equal(a.Pending, b.Pending) ||
+		len(a.Rounds) != len(b.Rounds) {
 		return false
 	}
 	for i := range a.Rounds {
@@ -59,10 +60,12 @@ func snapshot(s *Session) journal.Checkpoint {
 //     pool fingerprint included (export and codec agree with replay);
 //   - a session restored from the snapshot the way recovery restores it
 //     (rebuildFromCheckpoint, environment pins included) must export it
-//     back (restore inverts export);
-//   - the session restored from the previous checkpoint, having replayed
-//     the records in between, must match the full replay too (a restored
-//     session continues exactly, and its regenerated pool converges).
+//     back, pending batch and pool digest included (restore inverts
+//     export);
+//   - the session restored from the previous checkpoint, once it has
+//     replayed a proposal from the records in between, must match the
+//     full replay too (a restored session continues exactly, and its
+//     regenerated pool converges).
 //
 // The records after the last checkpoint are checked the same way at the
 // end of the log. It returns how many checkpoints it audited. The log
@@ -86,8 +89,8 @@ func (m *Manager) AuditCheckpoints(recs []journal.Record) (int, error) {
 	}
 	defer full.release()
 	// restored is the session rebuilt from the newest checkpoint so far;
-	// stepped says it has replayed a transition since (only then does it
-	// hold a pool to compare).
+	// stepped says it has replayed a proposal since (only then has it
+	// regenerated a pool of its own to compare).
 	var restored *Session
 	stepped := false
 	defer func() {
@@ -106,7 +109,7 @@ func (m *Manager) AuditCheckpoints(recs []journal.Record) (int, error) {
 				if _, err := replay(restored, []journal.Record{rec}); err != nil {
 					return audited, fmt.Errorf("record %d: replay after restore: %w", i, err)
 				}
-				stepped = true
+				stepped = stepped || rec.Type == journal.TypeProposed
 			}
 			continue
 		}
@@ -129,9 +132,7 @@ func (m *Manager) AuditCheckpoints(recs []journal.Record) (int, error) {
 			return audited, fmt.Errorf("record %d: restore: %w", i, err)
 		}
 		stepped = false
-		got := snapshot(restored)
-		got.PoolDigest = ck.PoolDigest // the restored policy rebuilds its pool on its first round
-		if !checkpointsEquivalent(got, ck) {
+		if !checkpointsEquivalent(snapshot(restored), ck) {
 			return audited, fmt.Errorf("record %d: round %d checkpoint does not survive restore", i, ck.Round)
 		}
 		audited++

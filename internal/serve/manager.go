@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -138,9 +139,10 @@ var ErrUnknownSession = errors.New("serve: unknown session")
 // write-ahead-logs every session state transition and can rebuild its
 // table after a crash with Recover. With an idle TTL (WithIdleTTL) it
 // additionally passivates idle durable sessions — their engine and mRR
-// pool are released while the journal keeps their state — and
-// transparently reactivates them on the next Session lookup by replaying
-// the log. All methods are safe for concurrent use.
+// pool are released while the journal keeps their state, checkpointed on
+// the way out — and transparently reactivates them on the next Session
+// lookup by restoring that checkpoint. All methods are safe for
+// concurrent use.
 type Manager struct {
 	reg *Registry
 
@@ -248,24 +250,28 @@ func WithJournalDir(dir string) ManagerOption {
 // WithIdleTTL arms idle-session passivation: a background sweep (every
 // ttl/4, clamped to [10ms, 1m]) passivates durable sessions that no
 // client call has touched for ttl, releasing their engine and sampling
-// pool while the write-ahead journal keeps their state on disk. The next
+// pool while the write-ahead journal keeps their state on disk. With
+// checkpointing on, each passivation first checkpoints the session (a
+// pending batch included), and a sweep that released pool memory ends
+// with a garbage collection so the process footprint follows. The next
 // Session lookup reactivates a passivated session transparently by
-// replaying its log — the reactivated session proposes byte-identical
-// batches to an uninterrupted one. Sessions without a journal are never
-// passivated (there would be nothing to reactivate from); ttl <= 0
-// leaves passivation off. CloseAll stops the sweep.
+// restoring that checkpoint (replaying its log when there is none) —
+// the reactivated session proposes byte-identical batches to an
+// uninterrupted one. Sessions without a journal are never passivated
+// (there would be nothing to reactivate from); ttl <= 0 leaves
+// passivation off. CloseAll stops the sweep.
 func WithIdleTTL(ttl time.Duration) ManagerOption {
 	return func(m *Manager) { m.idleTTL = ttl }
 }
 
 // WithCheckpointEvery sets the checkpoint interval in committed rounds:
 // a journaled session snapshots its resumable state into the log after
-// every k rounds (and at campaign completion), so recovery and
-// reactivation replay at most k rounds past the newest checkpoint
-// instead of the whole history. k <= 0 disables checkpointing (the
-// journal degrades gracefully to a plain full-replay log); without this
-// option a journaled manager checkpoints every DefaultCheckpointEvery
-// rounds. Checkpoints are invisible in the output: a session proposes
+// every k rounds (and at campaign completion and passivation), so
+// recovery replays at most k rounds past the newest checkpoint instead
+// of the whole history, and reactivation replays none. k <= 0 disables
+// checkpointing (the journal degrades gracefully to a plain full-replay
+// log); without this option a journaled manager checkpoints every
+// DefaultCheckpointEvery rounds. Checkpoints are invisible in the output: a session proposes
 // byte-identical batches with checkpointing on, off, or restored-from.
 func WithCheckpointEvery(k int) ManagerOption {
 	return func(m *Manager) {
@@ -410,7 +416,13 @@ func (m *Manager) sweepLoop() {
 		case <-m.sweepStop:
 			return
 		case <-t.C:
-			m.PassivateIdle(m.idleTTL)
+			if _, released := m.passivateIdle(m.idleTTL); released > 0 {
+				// Passivation exists to give pool memory back. Without a
+				// collection now, the freed pools stay inside the
+				// collector's heap goal until new allocation starts the
+				// next cycle.
+				runtime.GC()
+			}
 		}
 	}
 }
@@ -425,6 +437,13 @@ func (m *Manager) IdleTTL() time.Duration { return m.idleTTL }
 // In-memory sessions are never touched: without a journal there is
 // nothing to reactivate from.
 func (m *Manager) PassivateIdle(ttl time.Duration) int {
+	n, _ := m.passivateIdle(ttl)
+	return n
+}
+
+// passivateIdle is PassivateIdle, also returning the pool bytes the
+// passivations released.
+func (m *Manager) passivateIdle(ttl time.Duration) (n int, released int64) {
 	m.mu.Lock()
 	candidates := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
@@ -432,7 +451,6 @@ func (m *Manager) PassivateIdle(ttl time.Duration) int {
 	}
 	m.mu.Unlock()
 	now := time.Now()
-	n := 0
 	for _, s := range candidates {
 		if s.idleFor(now) < ttl {
 			continue
@@ -442,11 +460,13 @@ func (m *Manager) PassivateIdle(ttl time.Duration) int {
 		// happen inside passivate (still under the session lock), so the
 		// passivated gauge is already up when a reactivation becomes able
 		// to decrement it.
-		if s.passivate(now, ttl) {
+		//asm:errclass-ok a failed checkpoint append already went to the session's durability policy (Status.LastFailure, the poisoned counter); the sweep moves on
+		if ok, b, _ := s.passivate(now, ttl); ok {
 			n++
+			released += b
 		}
 	}
-	return n
+	return n, released
 }
 
 // notePassivated / notePassivatedClosed maintain the lifecycle counters;
@@ -493,8 +513,10 @@ func (m *Manager) noteCheckpointRestore() {
 }
 
 // Passivate passivates one session by id regardless of how recently it
-// was touched. It fails for unknown ids and reports false for sessions
-// that cannot be passivated (in-memory, closed, or already passivated).
+// was touched. It fails for unknown ids and for a session whose
+// passivation checkpoint failed to append under the fail-stop policy,
+// and reports false for sessions that cannot be passivated (in-memory,
+// closed, already passivated, or degraded by that failure).
 func (m *Manager) Passivate(id string) (bool, error) {
 	m.mu.Lock()
 	s, ok := m.sessions[id]
@@ -502,10 +524,8 @@ func (m *Manager) Passivate(id string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w %q", ErrUnknownSession, id)
 	}
-	if !s.passivate(time.Now(), 0) {
-		return false, nil
-	}
-	return true, nil
+	ok, _, err := s.passivate(time.Now(), 0)
+	return ok, err
 }
 
 // Registry returns the manager's dataset registry.
@@ -726,10 +746,11 @@ func parseModelName(name string) (diffusion.Model, error) {
 }
 
 // Session returns the open session with the given id, reactivating it
-// first if an idle sweep passivated it (the log is replayed through the
-// deterministic engine, so the reactivated session proposes
-// byte-identical batches to one that was never passivated). The lookup
-// counts as activity: it refreshes the session's idle clock.
+// first if an idle sweep passivated it (from the checkpoint passivation
+// wrote, or by replaying the log through the deterministic engine; either
+// way the reactivated session proposes byte-identical batches to one
+// that was never passivated). The lookup counts as activity: it
+// refreshes the session's idle clock.
 func (m *Manager) Session(id string) (*Session, error) {
 	m.mu.Lock()
 	s, ok := m.sessions[id]
@@ -926,8 +947,8 @@ type Stats struct {
 	// manager was built.
 	Passivations  uint64
 	Reactivations uint64
-	// Checkpoints counts checkpoints written, Compactions the log
-	// truncations past them, and CheckpointRestores the recoveries and
+	// Checkpoints counts checkpoints written (passivation checkpoints
+	// included), Compactions the log truncations past them, and CheckpointRestores the recoveries and
 	// reactivations that resumed from a checkpoint instead of a full
 	// replay.
 	Checkpoints        uint64
@@ -1014,7 +1035,8 @@ type Metrics struct {
 	// manager was built.
 	Passivations  uint64
 	Reactivations uint64
-	// Checkpoints / CheckpointFailures count checkpoints written and
+	// Checkpoints / CheckpointFailures count checkpoints written (at
+	// interval boundaries, campaign completion and passivation) and
 	// snapshots skipped because they failed to encode (an oversized
 	// record; the session keeps journaling and recovers by replay).
 	Checkpoints        uint64

@@ -101,6 +101,180 @@ func TestPassivateReactivateEquivalence(t *testing.T) {
 	}
 }
 
+// TestReactivationRestoresCheckpoint pins restore-only reactivation: a
+// session passivated before every proposal and every observation, and
+// carried across one manager restart while passivated, proposes
+// byte-identical batches to an uninterrupted run, and every reactivation
+// resumes from the checkpoint its passivation wrote without re-running a
+// selection. The matrix covers ASTI and ASTI-3 × workers {1,4} × pool
+// reuse on/off × sampler v1/v2 with explicit passivation; one variant
+// lets the real idle sweeper park the session instead.
+func TestReactivationRestoresCheckpoint(t *testing.T) {
+	g := testGraph(t)
+	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(99))
+	for _, policy := range []string{"ASTI", "ASTI-3"} {
+		for _, workers := range []int{1, 4} {
+			for _, disableReuse := range []bool{false, true} {
+				for _, sampler := range []int{1, 2} {
+					cfg := serve.Config{
+						Dataset: "test", Policy: policy, EtaFrac: 0.1, Epsilon: 0.5, Seed: 7,
+						Workers: workers, DisablePoolReuse: disableReuse, SamplerVersion: sampler,
+					}
+					name := fmt.Sprintf("%s/workers=%d/reuse=%v/v%d", policy, workers, !disableReuse, sampler)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						restoreOnlyCampaign(t, cfg, φ, 0)
+					})
+				}
+			}
+		}
+	}
+	t.Run("sweeper", func(t *testing.T) {
+		t.Parallel()
+		cfg := serve.Config{Dataset: "test", Policy: "ASTI-3", EtaFrac: 0.1, Epsilon: 0.5, Seed: 7, Workers: 4}
+		restoreOnlyCampaign(t, cfg, φ, time.Millisecond)
+	})
+}
+
+// restoreOnlyCampaign plays cfg against φ with the session parked before
+// every step — by Manager.Passivate, or, with idleTTL > 0, by the
+// manager's own idle sweeper — and restarts the manager once, before the
+// observation of the middle round, while the session is parked. Each
+// step runs on the session a lookup reactivated, which must not have
+// re-run any selection (its selection clock reads zero) and must be in
+// the phase the step expects. Every reactivation after the first
+// proposal, and the recovery, must be a checkpoint restore; before it
+// the session has nothing to checkpoint and reactivates from its created
+// record.
+func restoreOnlyCampaign(t *testing.T, cfg serve.Config, φ *diffusion.Realization, idleTTL time.Duration) {
+	n := int(φ.Graph().N())
+	ref := serve.NewManager(testRegistry(t), 0)
+	defer ref.CloseAll()
+	rs, err := ref.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, done := driveRounds(t, rs, φ, bitset.New(n), 1<<20)
+	if !done || len(want) < 4 {
+		t.Fatalf("reference run: %d rounds, done=%v; want a finished campaign of at least 4 rounds", len(want), done)
+	}
+
+	opts := []serve.ManagerOption{serve.WithJournalDir(t.TempDir())}
+	if idleTTL > 0 {
+		opts = append(opts, serve.WithIdleTTL(idleTTL))
+	}
+	mgr := serve.NewManager(testRegistry(t), 0, opts...)
+	defer func() { mgr.CloseAll() }()
+	s, err := mgr.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.ID()
+
+	// park leaves the session passivated.
+	park := func() {
+		if idleTTL == 0 {
+			if _, err := mgr.Passivate(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Status().Phase != "passivated" {
+			if time.Now().After(deadline) {
+				t.Fatal("session never passivated")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// step parks the session, reacquires it and runs op on the live
+	// object, again if the sweeper parks it between lookup and call.
+	step := func(phase string, op func() error) {
+		t.Helper()
+		for {
+			park()
+			live, err := mgr.Session(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s = live
+			st := s.Status()
+			if st.Phase == "passivated" {
+				continue // the sweeper was quicker than this check
+			}
+			if st.Phase != phase || st.SelectSeconds != 0 {
+				t.Fatalf("reactivated at round %d in phase %s having run %.3fs of selection; want phase %s and none",
+					st.Round, st.Phase, st.SelectSeconds, phase)
+			}
+			if err := op(); !errors.Is(err, serve.ErrPassivated) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	// restores checks one manager's accounting: every reactivation but
+	// the fresh ones restored a checkpoint, as did `recovered` recoveries.
+	restores := func(m *serve.Manager, fresh uint64, recovered uint64) {
+		t.Helper()
+		mt := m.Metrics()
+		if mt.Reactivations <= fresh || mt.CheckpointRestores != mt.Reactivations-fresh+recovered {
+			t.Fatalf("%d reactivations (%d before the first proposal) and %d recoveries, but %d checkpoint restores",
+				mt.Reactivations, fresh, recovered, mt.CheckpointRestores)
+		}
+	}
+
+	mirror := bitset.New(n)
+	var got [][]int32
+	var fresh uint64
+	for round := 1; ; round++ {
+		var batch []int32
+		step("propose", func() (err error) {
+			batch, err = s.NextBatch()
+			return err
+		})
+		if round == 1 {
+			fresh = mgr.Metrics().Reactivations
+		}
+		got = append(got, batch)
+		newly := φ.Spread(batch, mirror)
+		for _, v := range newly {
+			mirror.Set(v)
+		}
+		if round == len(want)/2 {
+			// Restart while parked with the batch pending: recovery restores
+			// the passivation checkpoint and replays nothing.
+			park()
+			restores(mgr, fresh, 0)
+			mgr.CloseAll()
+			mgr = serve.NewManager(testRegistry(t), 0, opts...)
+			rep, err := mgr.Recover("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Recovered != 1 || rep.CheckpointRestores != 1 || rep.Rounds != 0 {
+				t.Fatalf("recovery report %+v, want one session restored with no round replayed", rep)
+			}
+			if s, err = mgr.Session(id); err != nil {
+				t.Fatal(err)
+			}
+			fresh = 0
+		}
+		var prog serve.Progress
+		step("observe", func() (err error) {
+			prog, err = s.Observe(newly)
+			return err
+		})
+		if prog.Done {
+			break
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("batches with restore-only reactivation %v != uninterrupted %v", got, want)
+	}
+	restores(mgr, fresh, 1)
+}
+
 // TestPassivatePendingBatch passivates between NextBatch and Observe:
 // the reactivated session must be back in the observe phase with the
 // identical pending batch, and accept the observation.
@@ -204,7 +378,8 @@ func TestPassivatedCloseIsFinal(t *testing.T) {
 
 // TestPassivatedSurvivesRestart: a process dying while a session is
 // passivated loses nothing — the journal is the state, and the next
-// process recovers the session like any other.
+// process recovers the session like any other, from the checkpoint its
+// passivation wrote: no round is replayed.
 func TestPassivatedSurvivesRestart(t *testing.T) {
 	g := testGraph(t)
 	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(31))
@@ -226,8 +401,8 @@ func TestPassivatedSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Recovered != 1 || rep.Rounds != 2 {
-		t.Fatalf("report %+v, want the passivated session recovered with 2 rounds", rep)
+	if rep.Recovered != 1 || rep.Rounds != 0 || rep.CheckpointRestores != 1 {
+		t.Fatalf("report %+v, want the passivated session restored from its checkpoint with 0 rounds replayed", rep)
 	}
 	s2, err := mgr2.Session(id)
 	if err != nil {
@@ -353,9 +528,9 @@ func TestPassivateSweepRace(t *testing.T) {
 			}
 		}
 	}()
-	// Race only the first rounds (every lost race costs a full replay,
-	// and replays grow with the round count), then let the campaign
-	// finish undisturbed.
+	// Race only the first rounds (every lost race costs a checkpoint
+	// write and a pool regeneration), then let the campaign finish
+	// undisturbed.
 	const racedRounds = 5
 	raceOver := false
 	endRace := func() {

@@ -8,10 +8,11 @@ import (
 
 // benchReactivate measures the Manager.Session lookup that brings a
 // passivated 10-round session back to life, under the given extra
-// manager options. Passivation itself (microseconds — it only releases
-// state) is kept off the clock; the measured work is the journal replay,
-// which is where checkpoints earn their keep.
-func benchReactivate(b *testing.B, opts ...serve.ManagerOption) {
+// manager options; with pending, the session is parked with an 11th
+// batch proposed and not yet observed. Passivation itself (releasing
+// state, plus the checkpoint the first one writes) is kept off the
+// clock; the measured work is the restore or journal replay.
+func benchReactivate(b *testing.B, pending bool, opts ...serve.ManagerOption) {
 	reg := testRegistry(b)
 	all := append([]serve.ManagerOption{serve.WithJournalDir(b.TempDir())}, opts...)
 	mgr := serve.NewManager(reg, 0, all...)
@@ -30,6 +31,11 @@ func benchReactivate(b *testing.B, opts ...serve.ManagerOption) {
 			b.Fatal(err)
 		}
 	}
+	if pending {
+		if _, err := s.NextBatch(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	id := s.ID()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,15 +51,22 @@ func benchReactivate(b *testing.B, opts ...serve.ManagerOption) {
 	}
 }
 
-// BenchmarkReactivateCheckpointed reactivates through a checkpoint
-// (interval 4, compaction on): restore the round-8 snapshot
-// and replay the 2-round suffix.
+// BenchmarkReactivateCheckpointed reactivates through the checkpoint
+// passivation wrote (interval 4, compaction on): a restore with no round
+// to replay.
 func BenchmarkReactivateCheckpointed(b *testing.B) {
-	benchReactivate(b, serve.WithCheckpointEvery(4))
+	benchReactivate(b, false, serve.WithCheckpointEvery(4))
+}
+
+// BenchmarkReactivatePending is BenchmarkReactivateCheckpointed for a
+// session parked between a proposal and its observation: the checkpoint
+// carries the pending batch, so the round-11 selection is not re-run.
+func BenchmarkReactivatePending(b *testing.B) {
+	benchReactivate(b, true, serve.WithCheckpointEvery(4))
 }
 
 // BenchmarkReactivateFullReplay reactivates with checkpoints disabled:
 // the full 10-round replay this subsystem exists to avoid.
 func BenchmarkReactivateFullReplay(b *testing.B) {
-	benchReactivate(b, serve.WithCheckpointEvery(0))
+	benchReactivate(b, false, serve.WithCheckpointEvery(0))
 }

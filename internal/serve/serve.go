@@ -52,10 +52,14 @@
 // with WithIdleTTL sweeps its table and passivates durable sessions no
 // client call has touched for the TTL: the session's engine, mRR pool
 // and residual-graph state — the dominant per-session memory — are
-// released while the log on disk remains the authoritative state. The
-// next Manager.Session lookup reactivates the session transparently by
-// replaying the log, and by the determinism contract the reactivated
-// session proposes byte-identical batches:
+// released while the log on disk remains the authoritative state. With
+// checkpointing on (the default), passivation first writes a checkpoint
+// of the session's state, a batch awaiting its observation included, so
+// the next Manager.Session lookup reactivates the session transparently
+// by restoring that snapshot: no past selection is re-run. Without a
+// usable checkpoint it replays the log instead, and either way the
+// determinism contract makes the reactivated session propose
+// byte-identical batches:
 //
 //	mgr := serve.NewManager(reg, 0,
 //	    serve.WithJournalDir("wal"), serve.WithIdleTTL(30*time.Minute))

@@ -120,13 +120,18 @@ type Session struct {
 	// over every record payload appended to (or recovered from) the log —
 	// the position pin a checkpoint stores so loaders can tell it belongs
 	// to exactly this history. ckpts and lastCkptRound mirror the newest
-	// checkpoint for Status; graphSig pins the dataset's structure.
+	// checkpoint for Status, and ckptPending records whether it carried a
+	// pending batch; graphSig pins the dataset's structure. restoredPool
+	// is the pool digest of the checkpoint the session was restored from,
+	// which its own snapshots report until the policy regenerates a pool.
 	ckptEvery     int
 	compactOn     bool
 	graphSig      uint64
 	histDigest    uint32
 	ckpts         int
 	lastCkptRound int
+	ckptPending   bool
+	restoredPool  uint64
 
 	// Resilience state. durability decides what a final journal failure
 	// does (copied from the manager at build time); degraded means the
@@ -441,7 +446,9 @@ type Status struct {
 	// session is passivated; reset by a process restart).
 	Passivations int
 	// Checkpoints is the sequence number of the session's newest journal
-	// checkpoint (0 = none), and LastCheckpointRound the round it covers.
+	// checkpoint (0 = none), and LastCheckpointRound the last committed
+	// round it covers (a checkpoint with a batch pending covers the rounds
+	// before it).
 	// Both are restored from the checkpoint itself on recovery, so they
 	// are stable across a restart.
 	Checkpoints         int
@@ -762,24 +769,39 @@ func (s *Session) failLocked(err error) error {
 
 // passivate releases the session's live resources — policy engine, mRR
 // pool, journal writer, residual-graph state — while its journal stays
-// on disk, and freezes a status snapshot for List/metrics. It reports
-// whether the session was passivated: only durable (journaled) sessions
-// in a steady phase qualify; closed, already-passivated, or in-memory
-// sessions are left alone, as are sessions touched less than minIdle
-// before now (the idleness re-check runs under s.mu, so a client call
-// that slips in between the sweep's candidate scan and this lock keeps
-// its session live instead of paying a pointless replay; minIdle 0
-// forces). Reactivation is the manager's job (replay the log through a
-// fresh session); stale pointers to this object get ErrPassivated.
-func (s *Session) passivate(now time.Time, minIdle time.Duration) bool {
+// on disk, and freezes a status snapshot for List/metrics. Any durable
+// (journaled) session qualifies, a pending batch included; closed,
+// already-passivated, or in-memory sessions are left alone, as are
+// sessions touched less than minIdle before now (the idleness re-check
+// runs under s.mu, so a client call that slips in between the sweep's
+// candidate scan and this lock keeps its session live; minIdle 0
+// forces).
+//
+// With checkpointing on, the session first checkpoints its state unless
+// the newest checkpoint already covers it, so reactivation (the
+// manager's job) restores the snapshot instead of re-running the
+// selections since the last interval checkpoint. That write goes through
+// the session's durability policy like any append: if it fails, the
+// session is poisoned (fail-stop) or keeps serving without a journal
+// (degrade) — either way it is not passivated, and err carries a
+// fail-stop failure. It reports whether the session was passivated and
+// the pool bytes that released; stale pointers to this object get
+// ErrPassivated.
+func (s *Session) passivate(now time.Time, minIdle time.Duration) (ok bool, released int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.phase == PhaseClosed || s.phase == PhasePassivated || s.jw == nil {
-		return false
+		return false, 0, nil
 	}
 	if minIdle > 0 && now.Sub(s.touched) < minIdle {
-		return false
+		return false, 0, nil
 	}
+	if s.ckptEvery > 0 && !s.checkpointCurrentLocked() {
+		if err := s.checkpointLocked(); err != nil || s.jw == nil {
+			return false, 0, err
+		}
+	}
+	released = s.poolBytesLocked()
 	snap := s.statusLocked()
 	snap.Phase = PhasePassivated.String()
 	snap.Passivations++
@@ -810,7 +832,7 @@ func (s *Session) passivate(now time.Time, minIdle time.Duration) bool {
 	if c, ok := s.policy.(interface{ Close() }); ok {
 		c.Close()
 	}
-	return true
+	return true, released, nil
 }
 
 // passivated reports whether the session is currently passivated.

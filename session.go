@@ -113,33 +113,35 @@ func WithJournalDir(dir string) SessionManagerOption {
 
 // WithIdleTTL adds idle-session passivation to a durable SessionManager
 // (it requires WithJournalDir; in-memory sessions are never passivated).
-// A background sweep releases the engine, sampling pool, and
-// residual-graph state of any session no client call has touched for
-// ttl — the dominant per-session memory — while its write-ahead log
-// keeps the state on disk. The next SessionManager.Session lookup
-// reactivates the session transparently by replaying the log; by the
-// serve determinism contract the reactivated session proposes
-// byte-identical batches to one that was never passivated:
+// A background sweep checkpoints, then releases the engine, sampling
+// pool, and residual-graph state of any session no client call has
+// touched for ttl — the dominant per-session memory — while its
+// write-ahead log keeps the state on disk. The next
+// SessionManager.Session lookup reactivates the session transparently
+// by restoring that checkpoint (replaying the log when checkpointing is
+// off); by the serve determinism contract the reactivated session
+// proposes byte-identical batches to one that was never passivated:
 //
 //	mgr := asti.NewSessionManager(reg, 0,
 //	    asti.WithJournalDir("wal"), asti.WithIdleTTL(30*time.Minute))
 //
-// Reactivation costs one log replay (see the passivation curve in
-// BENCH_serve.json); SessionManager.Metrics reports the passivation
-// counters and the memory reclaimed.
+// Reactivation re-runs no past selection; the next proposal
+// regenerates the sampling pool instead of pruning a carried one.
+// SessionManager.Metrics reports the passivation counters and the
+// memory reclaimed.
 func WithIdleTTL(ttl time.Duration) SessionManagerOption {
 	return serve.WithIdleTTL(ttl)
 }
 
 // WithCheckpointEvery sets how often a durable session writes a state
 // checkpoint into its write-ahead log: every k committed rounds (and at
-// campaign completion), 0 to disable. The default is
-// serve.DefaultCheckpointEvery. A checkpoint snapshots the session's
+// campaign completion and idle passivation), 0 to disable. The default
+// is serve.DefaultCheckpointEvery. A checkpoint snapshots the session's
 // adaptive state and RNG positions, pinned to its place in the log by a
 // digest chain; recovery and reactivation restore the newest checkpoint
 // whose pins hold and replay only the rounds after it — O(k) instead of
-// O(rounds) — falling back to full replay whenever a checkpoint is
-// damaged or the environment drifted.
+// O(rounds), none after a passivation — falling back to full replay
+// whenever a checkpoint is damaged or the environment drifted.
 // Checkpoints are invisible in the proposal stream: sessions propose
 // byte-identical batches with checkpointing on, off, or at any interval.
 func WithCheckpointEvery(k int) SessionManagerOption {

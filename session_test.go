@@ -169,7 +169,7 @@ func ExampleWithIdleTTL() {
 	}
 	fmt.Println("passivated sessions:", mgr.Metrics().Passivated)
 
-	// Any lookup transparently reactivates by replaying the journal.
+	// Any lookup transparently reactivates from the journal.
 	resumed, err := mgr.Session(id)
 	if err != nil {
 		panic(err)
