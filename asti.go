@@ -197,7 +197,8 @@ func NewASTIBatch(epsilon float64, b int, opts ...Option) (Policy, error) {
 // paper's §6 comparison).
 func NewAdaptIM(epsilon float64, opts ...Option) (Policy, error) {
 	o := applyOptions(opts)
-	return baselines.NewAdaptIM(epsilon, 0, o.workers, o.reuse, o.samplerVer)
+	return trim.New(trim.Config{Epsilon: epsilon, Batch: 1, Truncated: false, Workers: o.workers,
+		ReusePool: o.reuse, SamplerVersion: o.samplerVer})
 }
 
 // SampleRealization draws one influence world for g under the model.

@@ -173,7 +173,7 @@ func makePolicy(name string, epsilon float64, workers int, reuse bool) (adaptive
 		}
 		return trim.New(trim.Config{Epsilon: epsilon, Batch: b, Truncated: true, Workers: workers, ReusePool: reuse})
 	case lower == "adaptim":
-		return baselines.NewAdaptIM(epsilon, 0, workers, reuse, 0)
+		return trim.New(trim.Config{Epsilon: epsilon, Batch: 1, Truncated: false, Workers: workers, ReusePool: reuse})
 	case lower == "mcgreedy":
 		return &baselines.MCGreedy{Samples: 500, Truncated: true}, nil
 	case lower == "celf":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -69,6 +70,7 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 	lastFamily := ""    // current sample group
 	closed := map[string]bool{}
 	seriesSeen := map[string]bool{}
+	labelKeys := map[string]string{} // family -> label keys of its first sample
 
 	for i, line := range strings.Split(body, "\n") {
 		lineNo := i + 1
@@ -96,6 +98,9 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 			case "HELP":
 				if f.help != "" {
 					t.Errorf("line %d: duplicate HELP for %s", lineNo, name)
+				}
+				if strings.TrimSpace(parts[3]) == "" {
+					t.Errorf("line %d: empty HELP text for %s", lineNo, name)
 				}
 				f.help = parts[3]
 			case "TYPE":
@@ -158,6 +163,21 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 			}
 			lastFamily = fam
 		}
+		// Every sample of a family carries the same label keys (le aside,
+		// which only histogram buckets add).
+		var keys []string
+		for k := range labels {
+			if k != "le" || !strings.HasSuffix(name, "_bucket") {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		set := strings.Join(keys, ",")
+		if first, ok := labelKeys[fam]; !ok {
+			labelKeys[fam] = set
+		} else if first != set {
+			t.Errorf("line %d: %s has label keys {%s}, its family's first sample {%s}", lineNo, name, set, first)
+		}
 		// Series uniqueness: name plus the sorted label set.
 		keyParts := make([]string, 0, len(labels))
 		for k, v := range labels {
@@ -185,6 +205,9 @@ func parseExposition(t *testing.T, body string) map[string]*promFamily {
 		}
 		if f.typ == "counter" && !strings.HasSuffix(name, "_total") {
 			t.Errorf("family %s: counter without the _total suffix", name)
+		}
+		if f.typ != "counter" && strings.HasSuffix(name, "_total") {
+			t.Errorf("family %s: %s named like a counter (_total suffix)", name, f.typ)
 		}
 		for _, s := range f.samples {
 			if f.typ == "counter" && s.value < 0 {
@@ -303,6 +326,33 @@ func scrape(t *testing.T, url string) string {
 	return string(body)
 }
 
+// exposedFamilies names every /metrics family: the families table plus
+// the two hand-written ones, the phase census and the step histograms.
+func exposedFamilies() []string {
+	names := []string{"asmserve_sessions", "asmserve_step_seconds"}
+	for _, f := range families {
+		names = append(names, f.name)
+	}
+	return names
+}
+
+// TestMetricsDocumented requires every /metrics family to be named in
+// both docs/API.md and docs/OPERATIONS.md, so a family added without
+// documentation fails here.
+func TestMetricsDocumented(t *testing.T) {
+	for _, doc := range []string{"../../docs/API.md", "../../docs/OPERATIONS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range exposedFamilies() {
+			if !regexp.MustCompile(`\b` + name + `\b`).Match(text) {
+				t.Errorf("%s does not mention family %s", doc, name)
+			}
+		}
+	}
+}
+
 // TestMetricsExpositionValid validates the scrape of a fresh server
 // (all-zero state) and of a busy journaled one (sessions in several
 // phases, passivation churn, step histograms populated) against the
@@ -330,34 +380,16 @@ func TestMetricsExpositionValid(t *testing.T) {
 		e.deleted()
 
 		fams := parseExposition(t, scrape(t, e.ts.URL))
-		// The families docs/API.md promises must all be present.
-		for _, want := range []string{
-			"asmserve_sessions",
-			"asmserve_sessions_created_total",
-			"asmserve_sessions_closed_total",
-			"asmserve_proposals_total",
-			"asmserve_observations_total",
-			"asmserve_passivations_total",
-			"asmserve_reactivations_total",
-			"asmserve_checkpoints_total",
-			"asmserve_checkpoint_failures_total",
-			"asmserve_compactions_total",
-			"asmserve_compacted_bytes_total",
-			"asmserve_checkpoint_restores_total",
-			"asmserve_journal_retries_total",
-			"asmserve_journal_append_failures_total",
-			"asmserve_journal_disk_full_total",
-			"asmserve_emergency_compactions_total",
-			"asmserve_sessions_poisoned_total",
-			"asmserve_sessions_degraded",
-			"asmserve_journal_breaker_open",
-			"asmserve_pool_bytes",
-			"asmserve_journal_bytes",
-			"asmserve_step_seconds",
-		} {
+		// Every family the server emits is in the exposition, and only
+		// those.
+		names := exposedFamilies()
+		for _, want := range names {
 			if fams[want] == nil {
 				t.Errorf("family %s missing from the exposition", want)
 			}
+		}
+		if len(fams) != len(names) {
+			t.Errorf("exposition has %d families, the server declares %d", len(fams), len(names))
 		}
 		// Spot-check values the fixture pinned down.
 		expect := map[string]float64{

@@ -185,23 +185,23 @@ func newHandler(mgr *serve.Manager, recovered int) http.Handler {
 }
 
 func (sv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := sv.mgr.Stats() // O(1): probes must not walk the session table
+	st := sv.mgr.Snapshot() // O(1): probes must not walk the session table
 	writeJSON(w, http.StatusOK, healthResponse{
 		OK:                 true,
 		Sessions:           st.Sessions,
-		Passivated:         st.Passivated,
-		Passivations:       st.Passivations,
-		Reactivations:      st.Reactivations,
+		Passivated:         int(st.Counters[serve.Passivated]),
+		Passivations:       st.Counters[serve.Passivations],
+		Reactivations:      st.Counters[serve.Reactivations],
 		Journal:            sv.mgr.Journaled(),
 		RecoveredSessions:  sv.recovered,
 		IdleTTLSeconds:     sv.mgr.IdleTTL().Seconds(),
-		Checkpoints:        st.Checkpoints,
-		Compactions:        st.Compactions,
-		CheckpointRestores: st.CheckpointRestores,
+		Checkpoints:        st.Counters[serve.Checkpoints],
+		Compactions:        st.Counters[serve.Compactions],
+		CheckpointRestores: st.Counters[serve.CheckpointRestores],
 		CheckpointEvery:    sv.mgr.CheckpointEvery(),
 		JournalHealthy:     st.JournalHealthy,
-		PoisonedTotal:      st.Poisoned,
-		DegradedTotal:      st.Degraded,
+		PoisonedTotal:      st.Counters[serve.Poisoned],
+		DegradedTotal:      st.Counters[serve.Degraded],
 		JournalRetries:     st.Journal.AppendRetries,
 		DurabilityPolicy:   sv.mgr.DurabilityPolicy().String(),
 	})

@@ -2,8 +2,9 @@
 // stdlib-only analogue of golang.org/x/tools/go/analysis (which this
 // build environment cannot fetch) that machine-enforces the repo's
 // written contracts — the determinism contract, the write-ahead
-// invariant's error discipline, the serve layer's lock discipline, the
-// hot-path allocation rules, and the /metrics naming rules.
+// invariant's error discipline, the serve layer's lock discipline, and
+// the hot-path allocation rules. (The /metrics exposition is checked at
+// run time, by cmd/asmserve's promlint test.)
 //
 // An Analyzer inspects one type-checked package (a Pass) and reports
 // Diagnostics. The driver (Run) loads packages with internal/analysis/load,

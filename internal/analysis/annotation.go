@@ -21,7 +21,7 @@ import (
 //	                                a diagnostic.
 //
 // Verbs: nondet (detrand), errclass (errclass), lock (lockcheck),
-// hotpath (hotpath), metric (metriclint).
+// hotpath (hotpath).
 //
 // Field comments of the form "guarded by <mu>" are not //asm:
 // annotations — they are the lock-discipline declaration the lockcheck
@@ -40,7 +40,6 @@ var suppressVerbs = map[string]bool{
 	"errclass": true,
 	"lock":     true,
 	"hotpath":  true,
-	"metric":   true,
 }
 
 var asmComment = regexp.MustCompile(`^//asm:([a-z-]+)(?:\s+(.*))?$`)
@@ -127,7 +126,7 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) (*Annotations, []D
 					base := strings.TrimSuffix(verb, "-ok")
 					an.byVerb[base] = append(an.byVerb[base], a)
 				default:
-					bad(c.Pos(), "unknown //asm: verb %q (known: hotpath, nondet-ok, errclass-ok, lock-ok, hotpath-ok, metric-ok)", verb)
+					bad(c.Pos(), "unknown //asm: verb %q (known: hotpath, nondet-ok, errclass-ok, lock-ok, hotpath-ok)", verb)
 				}
 			}
 		}

@@ -7,9 +7,9 @@
 //     lower-bounded expected spread reaches η, with an upper/lower
 //     candidate-size pair (Su, Sl) and the |Su| ≤ 2|Sl| stopping rule.
 //   - AdaptIM — the adaptive influence-maximization transplant: greedy on
-//     the *untruncated* marginal spread with single-root RR-sets. Built on
-//     the shared trim.Policy machinery with Truncated=false so the only
-//     difference from ASTI is the paper's claimed mechanism.
+//     the *untruncated* marginal spread with single-root RR-sets. It has
+//     no code here: callers build trim.Config{Batch: 1, Truncated: false},
+//     so the only difference from ASTI is the paper's claimed mechanism.
 //   - MCGreedy — Monte-Carlo greedy (CELF-style evaluation of every
 //     candidate), the closest practical stand-in for the oracle policy of
 //     Golovin & Krause; tractable only on small graphs, used as a quality
@@ -29,26 +29,7 @@ import (
 	"asti/internal/rng"
 	"asti/internal/rrset"
 	"asti/internal/stats"
-	"asti/internal/trim"
 )
-
-// NewAdaptIM returns the AdaptIM baseline: the trim machinery with the
-// vanilla-spread objective and single-root RR-sets. workers sizes the
-// sampling engine's pool (0 = GOMAXPROCS, 1 = sequential); reuse carries
-// the RR pool across rounds (speed only — selections are identical);
-// samplerVersion pins the sampler stream contract (0 = the current
-// default; journaled sessions pass the version recorded at creation).
-func NewAdaptIM(epsilon float64, maxSetsPerRound int64, workers int, reuse bool, samplerVersion rrset.Version) (*trim.Policy, error) {
-	return trim.New(trim.Config{
-		Epsilon:         epsilon,
-		Batch:           1,
-		Truncated:       false,
-		MaxSetsPerRound: maxSetsPerRound,
-		Workers:         workers,
-		ReusePool:       reuse,
-		SamplerVersion:  samplerVersion,
-	})
-}
 
 // ATEUC is the non-adaptive baseline. One value serves many Select calls
 // sequentially.

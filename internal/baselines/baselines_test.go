@@ -82,25 +82,6 @@ func TestATEUCMoreSeedsForHigherEta(t *testing.T) {
 	}
 }
 
-func TestAdaptIMPolicy(t *testing.T) {
-	g := testGraph(t)
-	p, err := NewAdaptIM(0.5, 0, 0, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "AdaptIM" {
-		t.Fatalf("name %q", p.Name())
-	}
-	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(5))
-	res, err := adaptive.Run(g, diffusion.IC, 60, p, φ, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spread < 60 {
-		t.Fatalf("spread %d", res.Spread)
-	}
-}
-
 // TestMCGreedyPicksTruncatedOptimum: on the Figure 2 graph with η=2 the
 // truncated MC greedy must pick v2 or v3 (expected truncated spreads 2)
 // and never v1 (1.75) — the paper's Example 2.3 behavioural check — while

@@ -298,7 +298,7 @@ func TestChaosFaultFreeByteIdentical(t *testing.T) {
 	if n := fault.Injections(); n != 0 {
 		t.Fatalf("%d injections fired from a non-matching plan", n)
 	}
-	if m := mgr.Stats(); m.Journal.AppendRetries != 0 || m.Poisoned != 0 || m.Degraded != 0 {
+	if m := mgr.Snapshot(); m.Journal.AppendRetries != 0 || m.Counters[serve.Poisoned] != 0 || m.Counters[serve.Degraded] != 0 {
 		t.Fatalf("resilience counters moved on a fault-free run: %+v", m)
 	}
 }
@@ -338,11 +338,11 @@ func TestTransientFsyncRetrySurvives(t *testing.T) {
 	if !st.Durable || st.Degraded || st.LastFailure != "" {
 		t.Fatalf("session should have absorbed the fault: %+v", st)
 	}
-	m := mgr.Stats()
+	m := mgr.Snapshot()
 	if m.Journal.AppendRetries < 1 {
 		t.Fatalf("retry counter did not increment: %+v", m.Journal)
 	}
-	if m.Poisoned != 0 || m.Degraded != 0 || !m.JournalHealthy {
+	if m.Counters[serve.Poisoned] != 0 || m.Counters[serve.Degraded] != 0 || !m.JournalHealthy {
 		t.Fatalf("one retried fault must not poison/degrade/trip anything: %+v", m)
 	}
 }
@@ -372,11 +372,11 @@ func TestPersistentFailureFailStop(t *testing.T) {
 	if st.LastFailure == "" || !strings.Contains(st.LastFailure, "input/output") {
 		t.Fatalf("poisoning cause not recorded: %q", st.LastFailure)
 	}
-	m := mgr.Stats()
-	if m.Poisoned != 1 || m.Degraded != 0 {
+	m := mgr.Snapshot()
+	if m.Counters[serve.Poisoned] != 1 || m.Counters[serve.Degraded] != 0 {
 		t.Fatalf("counters after poisoning: %+v", m)
 	}
-	if m.JournalHealthy || m.BreakerTrips != 1 {
+	if m.JournalHealthy || m.Counters[serve.BreakerTrips] != 1 {
 		t.Fatalf("breaker should be open after a final failure: %+v", m)
 	}
 	if _, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.5, Seed: 12}); !errors.Is(err, serve.ErrJournalUnhealthy) {
@@ -392,7 +392,7 @@ func TestPersistentFailureFailStop(t *testing.T) {
 	if _, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.5, Seed: 13}); err != nil {
 		t.Fatalf("probe create after cooldown: %v", err)
 	}
-	if m := mgr.Stats(); !m.JournalHealthy || m.BreakerTrips != 1 {
+	if m := mgr.Snapshot(); !m.JournalHealthy || m.Counters[serve.BreakerTrips] != 1 {
 		t.Fatalf("breaker should have closed after a successful probe: %+v", m)
 	}
 }
@@ -422,20 +422,20 @@ func TestPassivationCheckpointFailure(t *testing.T) {
 			if ok {
 				t.Fatal("session passivated although its checkpoint failed to append")
 			}
-			st, m := s.Status(), mgr.Stats()
-			if m.Passivated != 0 || m.Passivations != 0 || m.Checkpoints != 0 {
+			st, m := s.Status(), mgr.Snapshot()
+			if m.Counters[serve.Passivated] != 0 || m.Counters[serve.Passivations] != 0 || m.Counters[serve.Checkpoints] != 0 {
 				t.Fatalf("counters after the failed passivation: %+v", m)
 			}
 			if policy == serve.FailStop {
-				if err == nil || st.Phase != "closed" || m.Poisoned != 1 {
+				if err == nil || st.Phase != "closed" || m.Counters[serve.Poisoned] != 1 {
 					t.Fatalf("fail-stop: Passivate err %v, phase %s, %d poisoned; want an error and a poisoned session",
-						err, st.Phase, m.Poisoned)
+						err, st.Phase, m.Counters[serve.Poisoned])
 				}
 				return
 			}
-			if err != nil || st.Phase != "observe" || !st.Degraded || st.Durable || m.Degraded != 1 {
+			if err != nil || st.Phase != "observe" || !st.Degraded || st.Durable || m.Counters[serve.Degraded] != 1 {
 				t.Fatalf("degrade: Passivate err %v, status %+v, %d degraded; want a degraded session still observing",
-					err, st, m.Degraded)
+					err, st, m.Counters[serve.Degraded])
 			}
 			if _, err := s.Observe(batch); err != nil {
 				t.Fatalf("degraded session refused its observation: %v", err)
@@ -488,8 +488,8 @@ func TestPersistentFailureDegrade(t *testing.T) {
 	if st.Durable || !st.Degraded || st.DegradeReason == "" || st.LastFailure == "" {
 		t.Fatalf("degraded status wrong: %+v", st)
 	}
-	m := mgr.Stats()
-	if m.Degraded != 1 || m.Poisoned != 0 {
+	m := mgr.Snapshot()
+	if m.Counters[serve.Degraded] != 1 || m.Counters[serve.Poisoned] != 0 {
 		t.Fatalf("counters after degrade: %+v", m)
 	}
 	if mt := mgr.Metrics(); mt.DegradedNow != 1 {
@@ -571,11 +571,11 @@ func TestEmergencyCompactionOnDiskFull(t *testing.T) {
 	if !st.Durable || st.Degraded {
 		t.Fatalf("session should have survived ENOSPC durable: %+v", st)
 	}
-	m := mgr.Stats()
-	if m.EmergencyCompactions != 1 {
-		t.Fatalf("EmergencyCompactions = %d, want 1", m.EmergencyCompactions)
+	m := mgr.Snapshot()
+	if m.Counters[serve.EmergencyCompactions] != 1 {
+		t.Fatalf("EmergencyCompactions = %d, want 1", m.Counters[serve.EmergencyCompactions])
 	}
-	if m.Journal.DiskFull != 1 || m.Poisoned != 0 || m.Degraded != 0 {
+	if m.Journal.DiskFull != 1 || m.Counters[serve.Poisoned] != 0 || m.Counters[serve.Degraded] != 0 {
 		t.Fatalf("counters after ENOSPC episode: %+v", m)
 	}
 	if got, err := s.NextBatch(); err != nil || !slices.Equal(got, refNext) {
@@ -694,7 +694,7 @@ func TestJournalDirVanishesMidRun(t *testing.T) {
 	} else if errors.Is(err, serve.ErrJournalUnhealthy) {
 		t.Fatalf("first create after vanish should surface the real error, got breaker: %v", err)
 	}
-	if m := mgr.Stats(); m.JournalHealthy {
+	if m := mgr.Snapshot(); m.JournalHealthy {
 		t.Fatal("breaker should be open after a failed create")
 	}
 	if _, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.5, Seed: 13}); !errors.Is(err, serve.ErrJournalUnhealthy) {

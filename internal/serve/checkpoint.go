@@ -204,9 +204,7 @@ func (s *Session) checkpointLocked() error {
 	}
 	frame, err := journal.Marshal(journal.TypeCheckpoint, ck)
 	if err != nil {
-		if s.mgr != nil {
-			s.mgr.noteCheckpointFailed()
-		}
+		s.mgr.add(CheckpointFailures, 1)
 		//asm:errclass-ok by design a snapshot that fails to encode is counted and skipped; plain replay stays correct
 		return nil
 	}
@@ -221,9 +219,7 @@ func (s *Session) checkpointLocked() error {
 	s.ckpts = ck.Seq
 	s.lastCkptRound = ck.Round
 	s.ckptPending = len(ck.Pending) > 0
-	if s.mgr != nil {
-		s.mgr.noteCheckpoint()
-	}
+	s.mgr.add(Checkpoints, 1)
 	if s.compactOn {
 		return s.compactLocked()
 	}
@@ -250,8 +246,9 @@ func (s *Session) compactLocked() error {
 		return s.journalFailureLocked(fmt.Errorf("serve: reopening log after compaction: %w", rerr))
 	}
 	s.jw = res.Writer
-	if cerr == nil && removed > 0 && s.mgr != nil {
-		s.mgr.noteCompaction(removed)
+	if cerr == nil && removed > 0 {
+		s.mgr.add(Compactions, 1)
+		s.mgr.add(CompactedBytes, removed)
 	}
 	return nil
 }

@@ -245,9 +245,9 @@ func auditedCampaign(t *testing.T, reg *serve.Registry, cfg serve.Config, φ *di
 		t.Fatalf("campaign ended at round %d done=%v with %d checkpoints; want two per round",
 			st.Round, st.Done, st.Checkpoints)
 	}
-	if mt := mgr.Metrics(); mt.CheckpointFailures != 0 || mt.CheckpointRestores != mt.Reactivations {
+	if mt := mgr.Metrics(); mt.Counters[serve.CheckpointFailures] != 0 || mt.Counters[serve.CheckpointRestores] != mt.Counters[serve.Reactivations] {
 		t.Fatalf("%d checkpoints failed to encode, %d of %d reactivations restored one",
-			mt.CheckpointFailures, mt.CheckpointRestores, mt.Reactivations)
+			mt.Counters[serve.CheckpointFailures], mt.Counters[serve.CheckpointRestores], mt.Counters[serve.Reactivations])
 	}
 	data, err := os.ReadFile(filepath.Join(dir, s.ID()+".wal"))
 	if err != nil {
@@ -589,19 +589,19 @@ func TestCheckpointingOutputInvisible(t *testing.T) {
 			t.Fatalf("round %d batches differ across checkpointing modes", r)
 		}
 	}
-	if st := onMgr.Stats(); st.Checkpoints == 0 || st.Compactions == 0 {
+	if st := onMgr.Snapshot(); st.Counters[serve.Checkpoints] == 0 || st.Counters[serve.Compactions] == 0 {
 		t.Errorf("checkpointing manager wrote %d checkpoints, %d compactions; want both > 0",
-			st.Checkpoints, st.Compactions)
+			st.Counters[serve.Checkpoints], st.Counters[serve.Compactions])
 	}
 	mt := onMgr.Metrics()
-	if mt.CheckpointFailures != 0 {
-		t.Errorf("%d checkpoints failed to encode on a healthy run", mt.CheckpointFailures)
+	if mt.Counters[serve.CheckpointFailures] != 0 {
+		t.Errorf("%d checkpoints failed to encode on a healthy run", mt.Counters[serve.CheckpointFailures])
 	}
-	if mt.CompactedBytes == 0 {
+	if mt.Counters[serve.CompactedBytes] == 0 {
 		t.Error("compaction reclaimed 0 bytes over a 6-round campaign")
 	}
-	if st := offMgr.Stats(); st.Checkpoints != 0 {
-		t.Errorf("checkpoint-off manager wrote %d checkpoints", st.Checkpoints)
+	if st := offMgr.Snapshot(); st.Counters[serve.Checkpoints] != 0 {
+		t.Errorf("checkpoint-off manager wrote %d checkpoints", st.Counters[serve.Checkpoints])
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"asti/internal/adaptive"
-	"asti/internal/baselines"
 	"asti/internal/diffusion"
 	"asti/internal/graph"
 	"asti/internal/journal"
@@ -154,11 +153,8 @@ type Manager struct {
 	limit      int
 	creating   int // guarded by mu; sessions holding a reserved id while their created record syncs
 
-	// Lifecycle-governance counters. passive tracks the number of
-	// currently passivated sessions so Stats stays O(1).
-	passivations  uint64 // guarded by mu
-	reactivations uint64 // guarded by mu
-	passive       int    // guarded by mu
+	// counters holds the since-boot counters, indexed by Counter.
+	counters [numCounters]atomic.Uint64
 
 	// Resilience configuration, set at construction and read-only
 	// afterwards (no lock needed to read them).
@@ -168,35 +164,15 @@ type Manager struct {
 	// Journal-health breaker state. breakerUntil non-zero and in the
 	// future means open (Create rejects durable sessions); a Create
 	// arriving after it passes is the probe that closes it.
-	breakerUntil         time.Time // guarded by mu
-	breakerTrips         uint64    // guarded by mu
-	poisoned             uint64    // guarded by mu
-	degradedTotal        uint64    // guarded by mu
-	emergencyCompactions uint64    // guarded by mu
+	breakerUntil time.Time // guarded by mu
 
 	// Checkpointing configuration (ckptEvery, compact: set at
-	// construction, read-only afterwards) and counters. graphSigs caches
-	// the per-graph structural fingerprint that checkpoints pin
-	// (computed once per distinct graph).
-	ckptEvery      int
-	compact        bool
-	graphSigs      map[*graph.Graph]uint64 // guarded by mu
-	checkpoints    uint64                  // guarded by mu
-	ckptFailures   uint64                  // guarded by mu
-	compactions    uint64                  // guarded by mu
-	compactedBytes uint64                  // guarded by mu
-	ckptRestores   uint64                  // guarded by mu
-
-	// Load-facing throughput counters (atomic, not mu-guarded: proposals
-	// and observations are counted from inside Session calls that hold
-	// the session lock, never the manager lock). They count
-	// client-visible successes — what a load generator sees as completed
-	// work — so sessions/sec and steps/sec can be cross-checked
-	// server-side under load.
-	creates      atomic.Uint64
-	closes       atomic.Uint64
-	proposals    atomic.Uint64
-	observations atomic.Uint64
+	// construction, read-only afterwards). graphSigs caches the per-graph
+	// structural fingerprint that checkpoints pin (computed once per
+	// distinct graph).
+	ckptEvery int
+	compact   bool
+	graphSigs map[*graph.Graph]uint64 // guarded by mu
 
 	// reactMu guards reactInflight: one replay per session id at a time
 	// (concurrent lookups of one passivated session wait for the winner
@@ -339,7 +315,7 @@ func (m *Manager) noteJournalFailure() {
 	m.mu.Lock()
 	now := time.Now()
 	if m.breakerUntil.IsZero() || now.After(m.breakerUntil) {
-		m.breakerTrips++ // closed → open transition
+		m.add(BreakerTrips, 1) // closed → open transition
 	}
 	m.breakerUntil = now.Add(m.breakerCooldown)
 	m.mu.Unlock()
@@ -360,27 +336,6 @@ func (m *Manager) admitDurable() error {
 	}
 	m.breakerUntil = time.Time{}
 	return nil
-}
-
-// notePoisoned / noteDegraded / noteEmergencyCompaction maintain the
-// resilience counters; sessions call them from under their own lock
-// (lock order s.mu → m.mu).
-func (m *Manager) notePoisoned() {
-	m.mu.Lock()
-	m.poisoned++
-	m.mu.Unlock()
-}
-
-func (m *Manager) noteDegraded() {
-	m.mu.Lock()
-	m.degradedTotal++
-	m.mu.Unlock()
-}
-
-func (m *Manager) noteEmergencyCompaction() {
-	m.mu.Lock()
-	m.emergencyCompactions++
-	m.mu.Unlock()
 }
 
 // NewManager returns a manager resolving datasets from reg. limit caps
@@ -444,14 +399,8 @@ func (m *Manager) PassivateIdle(ttl time.Duration) int {
 // passivateIdle is PassivateIdle, also returning the pool bytes the
 // passivations released.
 func (m *Manager) passivateIdle(ttl time.Duration) (n int, released int64) {
-	m.mu.Lock()
-	candidates := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		candidates = append(candidates, s)
-	}
-	m.mu.Unlock()
 	now := time.Now()
-	for _, s := range candidates {
+	for _, s := range m.table() {
 		if s.idleFor(now) < ttl {
 			continue
 		}
@@ -467,49 +416,6 @@ func (m *Manager) passivateIdle(ttl time.Duration) (n int, released int64) {
 		}
 	}
 	return n, released
-}
-
-// notePassivated / notePassivatedClosed maintain the lifecycle counters;
-// sessions call them from under their own lock (lock order s.mu → m.mu).
-func (m *Manager) notePassivated() {
-	m.mu.Lock()
-	m.passivations++
-	m.passive++
-	m.mu.Unlock()
-}
-
-func (m *Manager) notePassivatedClosed() {
-	m.mu.Lock()
-	m.passive--
-	m.mu.Unlock()
-}
-
-// noteCheckpoint / noteCheckpointFailed / noteCompaction /
-// noteCheckpointRestore maintain the checkpoint counters; sessions call
-// the first three from under their own lock (lock order s.mu → m.mu).
-func (m *Manager) noteCheckpoint() {
-	m.mu.Lock()
-	m.checkpoints++
-	m.mu.Unlock()
-}
-
-func (m *Manager) noteCheckpointFailed() {
-	m.mu.Lock()
-	m.ckptFailures++
-	m.mu.Unlock()
-}
-
-func (m *Manager) noteCompaction(bytes int64) {
-	m.mu.Lock()
-	m.compactions++
-	m.compactedBytes += uint64(bytes)
-	m.mu.Unlock()
-}
-
-func (m *Manager) noteCheckpointRestore() {
-	m.mu.Lock()
-	m.ckptRestores++
-	m.mu.Unlock()
 }
 
 // Passivate passivates one session by id regardless of how recently it
@@ -599,7 +505,7 @@ func (m *Manager) Create(cfg Config) (*Session, error) {
 	m.creating--
 	m.sessions[s.id] = s
 	m.mu.Unlock()
-	m.creates.Add(1)
+	m.add(Creates, 1)
 	return s, nil
 }
 
@@ -842,7 +748,7 @@ func (m *Manager) replayPassivated(id string) (*Session, error) {
 		return nil, fmt.Errorf("serve: reactivate %s: %w", id, err)
 	}
 	if fromCkpt {
-		m.noteCheckpointRestore()
+		m.add(CheckpointRestores, 1)
 	}
 	res, err := st.Resume(id)
 	if err != nil {
@@ -858,29 +764,27 @@ func (m *Manager) replayPassivated(id string) (*Session, error) {
 	s.passivations = old.passivations
 	s.attachJournal(res.Writer, st)
 	// Claim the episode's gauge count before touching the table (the flag
-	// is guarded by the session lock, which must not nest inside m.mu).
-	counted := old.consumePassiveCount()
+	// is guarded by the session lock, which must not nest inside m.mu),
+	// and settle it whether or not the swap below happens: a concurrent
+	// Close that finds the flag consumed skips its own decrement.
+	if old.consumePassiveCount() {
+		m.add(Passivated, -1)
+	}
 	m.mu.Lock()
-	if cur, ok := m.sessions[id]; !ok || cur != old {
+	cur, ok := m.sessions[id]
+	if ok && cur == old {
+		m.sessions[id] = s
+	}
+	m.mu.Unlock()
+	if !ok || cur != old {
 		// A concurrent Close deleted the session (and its log) while we
 		// replayed: inserting the rebuilt session would resurrect a
-		// deliberately closed campaign. Discard it — but settle the gauge
-		// count we claimed, since the close found the flag already consumed
-		// and skipped its own decrement.
-		if counted {
-			m.passive--
-		}
-		m.mu.Unlock()
+		// deliberately closed campaign. Discard it.
 		res.Writer.Close()
 		s.release()
 		return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
 	}
-	m.sessions[id] = s
-	if counted {
-		m.passive--
-	}
-	m.reactivations++
-	m.mu.Unlock()
+	m.add(Reactivations, 1)
 	return s, nil
 }
 
@@ -909,7 +813,7 @@ func (m *Manager) Close(id string) error {
 		//asm:errclass-ok the committed closed record makes a surviving log self-deleting on the next Recover
 		_ = st.Remove(id)
 	}
-	m.closes.Add(1)
+	m.add(Closes, 1)
 	return nil
 }
 
@@ -927,214 +831,16 @@ func (m *Manager) CloseAll() {
 		sessions = append(sessions, s)
 	}
 	m.sessions = map[string]*Session{}
-	m.passive = 0
 	m.mu.Unlock()
+	m.counters[Passivated].Store(0)
 	for _, s := range sessions {
 		s.release()
 	}
 }
 
-// Stats is the O(1) counter subset of Metrics, cheap enough for
-// per-request probes (/healthz): session and passivated counts plus the
-// lifetime passivation/reactivation counters. The memory gauges need a
-// table walk and live on Metrics.
-type Stats struct {
-	// Sessions is the number of open sessions, passivated included.
-	Sessions int
-	// Passivated is the number of currently passivated sessions.
-	Passivated int
-	// Passivations / Reactivations count lifecycle events since the
-	// manager was built.
-	Passivations  uint64
-	Reactivations uint64
-	// Checkpoints counts checkpoints written (passivation checkpoints
-	// included), Compactions the log truncations past them, and CheckpointRestores the recoveries and
-	// reactivations that resumed from a checkpoint instead of a full
-	// replay.
-	Checkpoints        uint64
-	Compactions        uint64
-	CheckpointRestores uint64
-	// Poisoned counts sessions closed by a journal failure under the
-	// fail-stop policy, Degraded the sessions that switched to
-	// non-durable serving under the degrade policy, and
-	// EmergencyCompactions the ENOSPC episodes answered with an on-demand
-	// log compaction.
-	Poisoned             uint64
-	Degraded             uint64
-	EmergencyCompactions uint64
-	// JournalHealthy is false while the journal-health breaker is open
-	// (new durable sessions are being rejected); BreakerTrips counts
-	// closed→open transitions.
-	JournalHealthy bool
-	BreakerTrips   uint64
-	// Journal carries the store's append-resilience counters (retries,
-	// final failures, disk-full episodes, writer reopens); zero-valued on
-	// an unjournaled manager.
-	Journal journal.StoreMetrics
-	// Creates / Closes / Proposals / Observations count client-visible
-	// successes since the manager was built (recovery and reactivation
-	// replays are excluded): the server-side throughput a load generator
-	// cross-checks its own numbers against.
-	Creates      uint64
-	Closes       uint64
-	Proposals    uint64
-	Observations uint64
-}
-
-// Stats returns the manager's O(1) lifecycle counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := Stats{
-		Sessions:             len(m.sessions),
-		Passivated:           m.passive,
-		Passivations:         m.passivations,
-		Reactivations:        m.reactivations,
-		Checkpoints:          m.checkpoints,
-		Compactions:          m.compactions,
-		CheckpointRestores:   m.ckptRestores,
-		Poisoned:             m.poisoned,
-		Degraded:             m.degradedTotal,
-		EmergencyCompactions: m.emergencyCompactions,
-		JournalHealthy:       m.breakerUntil.IsZero() || !time.Now().Before(m.breakerUntil),
-		BreakerTrips:         m.breakerTrips,
-		Creates:              m.creates.Load(),
-		Closes:               m.closes.Load(),
-		Proposals:            m.proposals.Load(),
-		Observations:         m.observations.Load(),
-	}
-	if m.journal != nil {
-		st.Journal = m.journal.Metrics()
-	}
-	return st
-}
-
-// Count returns the number of open sessions, passivated ones included
-// (O(1); health probes should prefer it over len(List()), which
-// snapshots every session).
-func (m *Manager) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.sessions)
-}
-
-// Metrics is a point-in-time roll-up of the manager's session table for
-// monitoring endpoints (/metrics, /healthz): population by phase, the
-// lifetime passivation/reactivation counters, and the memory gauges —
-// estimated sampling-pool bytes held in RAM and journal bytes held on
-// disk.
-type Metrics struct {
-	// Sessions is the number of open sessions, passivated included.
-	Sessions int
-	// Passivated is the number of currently passivated sessions.
-	Passivated int
-	// Phases counts sessions by phase name ("propose", "observe",
-	// "done", "passivated").
-	Phases map[string]int
-	// Passivations / Reactivations count lifecycle events since the
-	// manager was built.
-	Passivations  uint64
-	Reactivations uint64
-	// Checkpoints / CheckpointFailures count checkpoints written (at
-	// interval boundaries, campaign completion and passivation) and
-	// snapshots skipped because they failed to encode (an oversized
-	// record; the session keeps journaling and recovers by replay).
-	Checkpoints        uint64
-	CheckpointFailures uint64
-	// Compactions counts log truncations past a checkpoint, and
-	// CompactedBytes the total journal bytes they reclaimed.
-	Compactions    uint64
-	CompactedBytes uint64
-	// CheckpointRestores counts recoveries/reactivations that resumed
-	// from a checkpoint instead of replaying the full history.
-	CheckpointRestores uint64
-	// Poisoned / Degraded / EmergencyCompactions / JournalHealthy /
-	// BreakerTrips / Journal mirror the Stats resilience counters (see
-	// Stats); DegradedNow is the walked gauge of sessions currently
-	// serving non-durably.
-	Poisoned             uint64
-	Degraded             uint64
-	DegradedNow          int
-	EmergencyCompactions uint64
-	JournalHealthy       bool
-	BreakerTrips         uint64
-	Journal              journal.StoreMetrics
-	// PoolBytes is the summed per-session sampling-pool estimate
-	// (passivated sessions contribute 0 — that is the point).
-	PoolBytes int64
-	// JournalBytes is the summed on-disk size of the open sessions' logs
-	// (0 for an unjournaled manager). With compaction on it stays bounded
-	// by the checkpoint interval instead of growing with campaign length.
-	JournalBytes int64
-	// Creates / Closes / Proposals / Observations count client-visible
-	// successes since the manager was built (replays excluded) — the
-	// server-side readout a load generator checks its throughput against.
-	Creates      uint64
-	Closes       uint64
-	Proposals    uint64
-	Observations uint64
-}
-
-// Metrics snapshots the manager for monitoring. It walks every session
-// (like List), so poll it at metrics-scrape cadence, not per request.
-func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	st := m.journal
-	mt := Metrics{
-		Phases:               map[string]int{},
-		Passivations:         m.passivations,
-		Reactivations:        m.reactivations,
-		Checkpoints:          m.checkpoints,
-		CheckpointFailures:   m.ckptFailures,
-		Compactions:          m.compactions,
-		CompactedBytes:       m.compactedBytes,
-		CheckpointRestores:   m.ckptRestores,
-		Poisoned:             m.poisoned,
-		Degraded:             m.degradedTotal,
-		EmergencyCompactions: m.emergencyCompactions,
-		JournalHealthy:       m.breakerUntil.IsZero() || !time.Now().Before(m.breakerUntil),
-		BreakerTrips:         m.breakerTrips,
-		Creates:              m.creates.Load(),
-		Closes:               m.closes.Load(),
-		Proposals:            m.proposals.Load(),
-		Observations:         m.observations.Load(),
-	}
-	m.mu.Unlock()
-	if st != nil {
-		mt.Journal = st.Metrics()
-	}
-	for _, s := range sessions {
-		stt := s.Status()
-		mt.Sessions++
-		mt.Phases[stt.Phase]++
-		if stt.Phase == PhasePassivated.String() {
-			mt.Passivated++
-		}
-		if stt.Degraded {
-			mt.DegradedNow++
-		}
-		mt.PoolBytes += stt.PoolBytes
-		if st != nil && stt.Durable {
-			if size, err := st.Size(stt.ID); err == nil {
-				mt.JournalBytes += size
-			}
-		}
-	}
-	return mt
-}
-
 // List returns a status snapshot of every open session, sorted by id.
 func (m *Manager) List() []Status {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
+	sessions := m.table()
 	out := make([]Status, len(sessions))
 	for i, s := range sessions {
 		out[i] = s.Status()
@@ -1149,22 +855,35 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// newPolicy instantiates a fresh proposal policy by wire name.
+// table returns the open sessions, in no particular order.
+func (m *Manager) table() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		out = append(out, s)
+	}
+	return out
+}
+
+// newPolicy instantiates a fresh proposal policy by wire name: "ASTI"
+// (the default) and "ASTI-<b>" are truncated TRIM with batch 1 and b,
+// "AdaptIM" is the untruncated single-seed baseline.
 func newPolicy(name string, epsilon float64, workers int, maxSets int64, reuse bool, ver rrset.Version) (adaptive.Policy, error) {
+	batch, truncated := 1, true
 	switch {
 	case name == "" || strings.EqualFold(name, "ASTI"):
-		return trim.New(trim.Config{Epsilon: epsilon, Batch: 1, Truncated: true,
-			Workers: workers, MaxSetsPerRound: maxSets, ReusePool: reuse, SamplerVersion: ver})
 	case strings.HasPrefix(strings.ToUpper(name), "ASTI-"):
 		b, err := strconv.Atoi(name[len("ASTI-"):])
 		if err != nil || b < 1 {
 			return nil, fmt.Errorf("serve: bad batch size in policy %q", name)
 		}
-		return trim.New(trim.Config{Epsilon: epsilon, Batch: b, Truncated: true,
-			Workers: workers, MaxSetsPerRound: maxSets, ReusePool: reuse, SamplerVersion: ver})
+		batch = b
 	case strings.EqualFold(name, "AdaptIM"):
-		return baselines.NewAdaptIM(epsilon, maxSets, workers, reuse, ver)
+		truncated = false
 	default:
 		return nil, fmt.Errorf("serve: unknown policy %q (ASTI, ASTI-<b>, AdaptIM)", name)
 	}
+	return trim.New(trim.Config{Epsilon: epsilon, Batch: batch, Truncated: truncated,
+		Workers: workers, MaxSetsPerRound: maxSets, ReusePool: reuse, SamplerVersion: ver})
 }

@@ -93,7 +93,7 @@ func TestPassivateReactivateEquivalence(t *testing.T) {
 				}
 
 				mt := mgr.Metrics()
-				if mt.Passivations != 1 || mt.Reactivations != 1 || mt.Passivated != 0 {
+				if mt.Counters[serve.Passivations] != 1 || mt.Counters[serve.Reactivations] != 1 || mt.Counters[serve.Passivated] != 0 {
 					t.Errorf("metrics %+v, want 1 passivation, 1 reactivation, 0 passivated", mt)
 				}
 			})
@@ -218,9 +218,9 @@ func restoreOnlyCampaign(t *testing.T, cfg serve.Config, φ *diffusion.Realizati
 	restores := func(m *serve.Manager, fresh uint64, recovered uint64) {
 		t.Helper()
 		mt := m.Metrics()
-		if mt.Reactivations <= fresh || mt.CheckpointRestores != mt.Reactivations-fresh+recovered {
+		if mt.Counters[serve.Reactivations] <= fresh || mt.Counters[serve.CheckpointRestores] != mt.Counters[serve.Reactivations]-fresh+recovered {
 			t.Fatalf("%d reactivations (%d before the first proposal) and %d recoveries, but %d checkpoint restores",
-				mt.Reactivations, fresh, recovered, mt.CheckpointRestores)
+				mt.Counters[serve.Reactivations], fresh, recovered, mt.Counters[serve.CheckpointRestores])
 		}
 	}
 
@@ -234,7 +234,7 @@ func restoreOnlyCampaign(t *testing.T, cfg serve.Config, φ *diffusion.Realizati
 			return err
 		})
 		if round == 1 {
-			fresh = mgr.Metrics().Reactivations
+			fresh = mgr.Metrics().Counters[serve.Reactivations]
 		}
 		got = append(got, batch)
 		newly := φ.Spread(batch, mirror)
@@ -428,7 +428,7 @@ func TestManagerMetrics(t *testing.T) {
 	driveRounds(t, s, φ, bitset.New(int(g.N())), 1)
 
 	mt := mgr.Metrics()
-	if mt.Sessions != 1 || mt.Passivated != 0 || mt.Phases["propose"] != 1 {
+	if mt.Sessions != 1 || mt.Counters[serve.Passivated] != 0 || mt.Phases["propose"] != 1 {
 		t.Errorf("metrics after one round %+v", mt)
 	}
 	if mt.PoolBytes <= 0 {
@@ -445,7 +445,7 @@ func TestManagerMetrics(t *testing.T) {
 		t.Fatalf("Passivate: ok=%v err=%v", ok, err)
 	}
 	mt = mgr.Metrics()
-	if mt.Passivated != 1 || mt.Phases["passivated"] != 1 || mt.PoolBytes != 0 {
+	if mt.Counters[serve.Passivated] != 1 || mt.Phases["passivated"] != 1 || mt.PoolBytes != 0 {
 		t.Errorf("metrics after passivation %+v, want pool bytes released", mt)
 	}
 	if mt.JournalBytes <= 0 {
@@ -469,7 +469,7 @@ func TestIdleSweepPassivates(t *testing.T) {
 	}
 	id := s.ID()
 	deadline := time.Now().Add(10 * time.Second)
-	for mgr.Metrics().Passivated == 0 {
+	for mgr.Metrics().Counters[serve.Passivated] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("sweeper never passivated the idle session")
 		}
@@ -587,8 +587,8 @@ func TestPassivateSweepRace(t *testing.T) {
 		t.Errorf("batches under sweep race %v != reference %v", gotBatches, wantBatches)
 	}
 	mt := mgr.Metrics()
-	if mt.Passivations != mt.Reactivations && mt.Passivations != mt.Reactivations+1 {
-		t.Errorf("counter imbalance: %d passivations vs %d reactivations", mt.Passivations, mt.Reactivations)
+	if mt.Counters[serve.Passivations] != mt.Counters[serve.Reactivations] && mt.Counters[serve.Passivations] != mt.Counters[serve.Reactivations]+1 {
+		t.Errorf("counter imbalance: %d passivations vs %d reactivations", mt.Counters[serve.Passivations], mt.Counters[serve.Reactivations])
 	}
 }
 
@@ -674,7 +674,7 @@ func TestCloseRacingReactivation(t *testing.T) {
 			t.Errorf("iteration %d: closed session %s left its log on disk (%v)", i, id, err)
 		}
 	}
-	if st := mgr.Stats(); st.Sessions != 0 || st.Passivated != 0 {
+	if st := mgr.Snapshot(); st.Sessions != 0 || st.Counters[serve.Passivated] != 0 {
 		t.Errorf("stats after close storm %+v, want empty table", st)
 	}
 }
@@ -721,7 +721,7 @@ func TestReactivateDamagedJournal(t *testing.T) {
 		t.Errorf("unknown id: %v, want ErrUnknownSession", err)
 	}
 	// The stub survives for List/metrics; it is not silently dropped.
-	if st := mgr.Stats(); st.Sessions != 1 || st.Passivated != 1 {
+	if st := mgr.Snapshot(); st.Sessions != 1 || st.Counters[serve.Passivated] != 1 {
 		t.Errorf("stats after failed reactivation %+v", st)
 	}
 }
@@ -755,7 +755,7 @@ func TestCloseRacingSweep(t *testing.T) {
 			t.Fatalf("iteration %d: closed session %s still resolvable", i, id)
 		}
 	}
-	if st := mgr.Stats(); st.Sessions != 0 || st.Passivated != 0 {
+	if st := mgr.Snapshot(); st.Sessions != 0 || st.Counters[serve.Passivated] != 0 {
 		t.Errorf("stats after close-vs-sweep storm %+v, want zero", st)
 	}
 	entries, err := os.ReadDir(dir)
@@ -786,8 +786,8 @@ func TestDirectCloseOfPassivatedSession(t *testing.T) {
 		t.Fatalf("Passivate: ok=%v err=%v", ok, err)
 	}
 	s.Close() // directly on the passivated object, not via the manager
-	if st := mgr.Stats(); st.Passivated != 0 {
-		t.Errorf("passivated gauge %d after direct close, want 0", st.Passivated)
+	if st := mgr.Snapshot(); st.Counters[serve.Passivated] != 0 {
+		t.Errorf("passivated gauge %d after direct close, want 0", st.Counters[serve.Passivated])
 	}
 	// Direct Close does not unlink the log (that is Manager.Close's job);
 	// the log that remains must read as deliberately closed.

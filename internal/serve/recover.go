@@ -164,7 +164,7 @@ func (m *Manager) recoverOne(st *journal.Store, id string, rep *RecoveryReport) 
 	rep.Rounds += rounds
 	if fromCkpt {
 		rep.CheckpointRestores++
-		m.noteCheckpointRestore()
+		m.add(CheckpointRestores, 1)
 	}
 }
 

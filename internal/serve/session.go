@@ -276,8 +276,8 @@ func (s *Session) Propose() (Proposal, error) {
 	s.phase = PhaseObserve
 	out := make([]int32, len(batch))
 	copy(out, batch)
-	if s.mgr != nil && !s.replaying {
-		s.mgr.proposals.Add(1)
+	if !s.replaying {
+		s.mgr.add(Proposals, 1)
 	}
 	return Proposal{Round: s.round, Seeds: out}, nil
 }
@@ -382,8 +382,8 @@ func (s *Session) Observe(activated []int32) (Progress, error) {
 			return Progress{}, err
 		}
 	}
-	if s.mgr != nil && !s.replaying {
-		s.mgr.observations.Add(1)
+	if !s.replaying {
+		s.mgr.add(Observations, 1)
 	}
 	return s.progressLocked(newly), nil
 }
@@ -631,9 +631,7 @@ func (s *Session) closeSession(mark bool) (wasPassivated bool) {
 					s.lastFailure = rerr.Error()
 				}
 			}
-			if s.mgr != nil {
-				s.mgr.notePassivatedClosed()
-			}
+			s.mgr.add(Passivated, -1)
 		}
 	}
 	if c, ok := s.policy.(interface{ Close() }); ok {
@@ -707,10 +705,9 @@ func (s *Session) emergencyCompactLocked() error {
 	// The rewrite changed the log bytes but not the history the digest
 	// chains over: Compact preserves record identity, and the digest is
 	// over records, not file offsets.
-	if s.mgr != nil {
-		s.mgr.noteEmergencyCompaction()
-		s.mgr.noteCompaction(removed)
-	}
+	s.mgr.add(EmergencyCompactions, 1)
+	s.mgr.add(Compactions, 1)
+	s.mgr.add(CompactedBytes, removed)
 	return nil
 }
 
@@ -735,9 +732,7 @@ func (s *Session) journalFailureLocked(err error) error {
 		}
 		s.degraded = true
 		s.degradeReason = err.Error()
-		if s.mgr != nil {
-			s.mgr.noteDegraded()
-		}
+		s.mgr.add(Degraded, 1)
 		return nil
 	}
 	return s.failLocked(err)
@@ -761,9 +756,7 @@ func (s *Session) failLocked(err error) error {
 	if c, ok := s.policy.(interface{ Close() }); ok {
 		c.Close()
 	}
-	if s.mgr != nil {
-		s.mgr.notePoisoned()
-	}
+	s.mgr.add(Poisoned, 1)
 	return err
 }
 
@@ -811,13 +804,10 @@ func (s *Session) passivate(now time.Time, minIdle time.Duration) (ok bool, rele
 	s.phase = PhasePassivated
 	// Count the episode in the manager's gauge before releasing s.mu: a
 	// reactivation can only observe PhasePassivated (and later decrement)
-	// after this lock drops, so the gauge never dips negative. Lock order
-	// is s.mu → m.mu here; nothing in the manager takes a session lock
-	// while holding m.mu.
+	// after this lock drops, so the gauge never dips negative.
 	s.passiveCounted = true
-	if s.mgr != nil {
-		s.mgr.notePassivated()
-	}
+	s.mgr.add(Passivations, 1)
+	s.mgr.add(Passivated, 1)
 	// No closed record: the log must stay replayable. Everything the
 	// session holds beyond the snapshot is reconstructed from it.
 	//asm:errclass-ok every committed frame is already fsynced, and the frozen snapshot Status cannot carry a late close error

@@ -167,7 +167,7 @@ func ExampleWithIdleTTL() {
 	if _, err := mgr.Passivate(id); err != nil {
 		panic(err)
 	}
-	fmt.Println("passivated sessions:", mgr.Metrics().Passivated)
+	fmt.Println("passivated sessions:", mgr.Metrics().Phases["passivated"])
 
 	// Any lookup transparently reactivates from the journal.
 	resumed, err := mgr.Session(id)
