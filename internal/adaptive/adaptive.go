@@ -146,6 +146,9 @@ func Run(g *graph.Graph, model diffusion.Model, eta int64, policy Policy, φ *di
 		if err := ValidateBatch(g, st.Active, batch); err != nil {
 			return nil, fmt.Errorf("adaptive: round %d: %w", st.Round, err)
 		}
+		// A policy may return a view of st.Inactive, which the compaction
+		// below rewrites in place: keep a copy before committing.
+		batch = slices.Clone(batch)
 		// Observe the batch's realized influence in φ restricted to the
 		// residual graph, then commit it.
 		newly := φ.Spread(batch, st.Active)

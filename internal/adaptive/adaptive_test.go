@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"asti/internal/bitset"
@@ -311,5 +312,41 @@ func TestRunSuppliesDelta(t *testing.T) {
 	}
 	if rounds < 2 {
 		t.Skipf("campaign ended in %d round(s)", rounds)
+	}
+}
+
+// TestRunRecordsBatchAliasingInactive: a policy may return a view of
+// st.Inactive (trim's no-coverage fallback once did). Run must record the
+// seeds the policy returned, not what compaction later shifts into that
+// view's storage.
+func TestRunRecordsBatchAliasingInactive(t *testing.T) {
+	g := gen.Line(10, 0.01)
+	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(1))
+	var returned [][]int32
+	pol := policyFunc{
+		name: "inactive-view",
+		fn: func(st *State) ([]int32, error) {
+			returned = append(returned, append([]int32(nil), st.Inactive[0]))
+			return st.Inactive[:1], nil
+		},
+	}
+	res, err := Run(g, diffusion.IC, 3, pol, φ, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for _, b := range returned {
+		want = append(want, b...)
+	}
+	if !slices.Equal(res.Seeds, want) {
+		t.Fatalf("Run recorded seeds %v, policy returned %v", res.Seeds, want)
+	}
+	if len(res.Rounds) != len(returned) {
+		t.Fatalf("%d round traces for %d batches", len(res.Rounds), len(returned))
+	}
+	for i, r := range res.Rounds {
+		if !slices.Equal(r.Seeds, returned[i]) {
+			t.Errorf("round %d trace reads %v, policy returned %v", i+1, r.Seeds, returned[i])
+		}
 	}
 }

@@ -208,8 +208,8 @@ func smallDeltaRun(g *graph.Graph, p Profile) (SmallDeltaPerf, error) {
 			for _, v := range batch {
 				active.Set(v)
 			}
-			st.Inactive, st.Delta = adaptive.CompactInactive(st.Inactive, active)
 			seeds = append(seeds, batch...)
+			st.Inactive, st.Delta = adaptive.CompactInactive(st.Inactive, active)
 		}
 		return time.Since(t0).Seconds(), seeds, pol, nil
 	}

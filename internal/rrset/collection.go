@@ -1,28 +1,26 @@
 package rrset
 
-import (
-	"unsafe"
-
-	"asti/internal/graph"
-)
+import "asti/internal/graph"
 
 // Collection accumulates mRR (or RR) sets and maintains the coverage
-// counts Λ_R(v) — the number of stored sets containing v — plus an
-// inverted index (node → set ids) for greedy max-coverage. It backs both
-// TRIM (argmax over Λ) and TRIM-B / ATEUC (greedy coverage).
+// counts Λ_R(v) — the number of stored sets containing v — plus, on
+// demand, an inverted index (node → set ids). It backs both TRIM
+// (argmax over Λ) and TRIM-B / ATEUC (greedy coverage).
 //
 // Storage is slotted over an arena: stored set id's data lives at
 // data.at(setPos[id], setLen[id]), so Add copies the set instead of
 // taking ownership, and Replace can regenerate one set in place (reusing
 // its hole when the new set fits, allocating a fresh slot otherwise;
 // dead entries are reclaimed by an amortized compaction into recycled
-// slabs). The inverted index is a CSR pair built lazily — once per
-// doubling round rather than appended to per set — and every per-node
-// counter touched since the last Reset is remembered in a touched list,
-// making Reset O(touched) instead of O(n). One Collection therefore
-// serves every round of an adaptive run without reallocating, and —
-// through Prune/Replace/Truncate — can carry its pool ACROSS rounds,
-// which is the cross-round reuse optimization behind
+// slabs). The inverted index is a CSR pair built lazily, by the first
+// query that needs it after a mutation rather than appended to per set;
+// the greedy builds it only when that is cheaper than scanning the
+// uncovered sets, which on TRIM-B's dense mRR pools it is not. Every
+// per-node counter touched since the last Reset is remembered in a
+// touched list, making Reset O(touched) instead of O(n). One Collection
+// therefore serves every round of an adaptive run without reallocating,
+// and — through Prune/Replace/Truncate — can carry its pool ACROSS
+// rounds, which is the cross-round reuse optimization behind
 // trim.Config.ReusePool.
 type Collection struct {
 	n     int32
@@ -57,9 +55,11 @@ type Collection struct {
 	nmark      []int64
 	nmarkEpoch int64
 
-	// heap is the reusable (gain, node) max-heap scratch of the CELF-style
-	// lazy greedy.
-	heap []heapEntry
+	// Greedy scratch: gain[v] is v's marginal gain during a
+	// GreedyMaxCoverage call, and uncov lists the stored sets its scan
+	// path has not yet covered.
+	gain  []int64
+	uncov []int32
 }
 
 // NewCollection returns an empty Collection over graphs with n nodes.
@@ -225,10 +225,9 @@ func (c *Collection) TotalNodes() int64 { return c.nodes }
 // is what the serve layer rolls up into its pool-memory gauge.
 func (c *Collection) MemoryBytes() int64 {
 	const (
-		i64  = 8
-		i32  = 4
-		b    = 1
-		heap = int64(unsafe.Sizeof(heapEntry{}))
+		i64 = 8
+		i32 = 4
+		b   = 1
 	)
 	return int64(cap(c.cov))*i64 +
 		int64(cap(c.touched))*i32 +
@@ -241,7 +240,8 @@ func (c *Collection) MemoryBytes() int64 {
 		int64(cap(c.idxSets))*i32 +
 		int64(cap(c.marks))*i64 +
 		int64(cap(c.nmark))*i64 +
-		int64(cap(c.heap))*heap
+		int64(cap(c.gain))*i64 +
+		int64(cap(c.uncov))*i32
 }
 
 // Coverage returns Λ_R(v).
@@ -266,8 +266,8 @@ func (c *Collection) IndexOf(v int32) []int32 {
 }
 
 // buildIndex (re)builds the CSR inverted index over the stored sets. It
-// runs once per doubling round — consumers query only after a batch of
-// mutations — so the flat two-pass build replaces per-set slice appends on
+// runs at most once per batch of mutations — consumers query only after
+// one — so the flat two-pass build replaces per-set slice appends on
 // every node.
 func (c *Collection) buildIndex() {
 	if c.idxBuilt == c.stored() {
@@ -387,63 +387,29 @@ func (c *Collection) ArgmaxCoverage(candidates []int32) (best int32, cov int64) 
 	return best, cov
 }
 
-// heapEntry is one (cached marginal gain, node) pair of the lazy greedy.
-type heapEntry struct {
-	gain int64
-	node int32
-}
+// Greedy cost constants, in units of one scan-pass read of a set entry.
+// Fitted on workload-shaped pools (synth-epinions and synth-nethept at
+// scale 0.2–0.25, mRR and single-root, 20k–100k sets) on a two-core
+// x86-64 VM: a scan pass costs ≈1.15 ns per entry plus ≈21 ns per stored
+// set (its slot lookup and loop set-up), so σ ≈ 18; a cold CSR index
+// build costs 10–15 ns per live entry (two passes over the arena plus
+// scattered writes into idxSets; 18 ns on 4-entry sets), so γ ≈ 11.
+const (
+	greedySetCost   = 18 // σ
+	greedyBuildCost = 11 // γ
+)
 
-// before orders the lazy-greedy heap: larger gain first, smaller node id
-// on ties — matching ArgmaxCoverage's tie-break, so selections stay
-// deterministic and independent of heap internals.
-func (a heapEntry) before(b heapEntry) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
+// greedyScans reports whether GreedyMaxCoverage(b) discovers newly
+// covered sets by scanning the uncovered ones rather than through the
+// inverted index: it does when the index is not current and the
+// pessimistic scan cost, (b−1) full passes of E + σ·S for E live entries
+// over S stored sets, stays within the index build cost γ·E.
+func (c *Collection) greedyScans(b int) bool {
+	if c.idxBuilt == c.stored() {
+		return false
 	}
-	return a.node < b.node
-}
-
-// heapPush sifts e up into the lazy-gain heap.
-//
-//asm:hotpath
-func (c *Collection) heapPush(e heapEntry) {
-	c.heap = append(c.heap, e)
-	i := len(c.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !c.heap[i].before(c.heap[p]) {
-			break
-		}
-		c.heap[i], c.heap[p] = c.heap[p], c.heap[i]
-		i = p
-	}
-}
-
-// heapPop removes and returns the heap maximum.
-//
-//asm:hotpath
-func (c *Collection) heapPop() heapEntry {
-	top := c.heap[0]
-	last := len(c.heap) - 1
-	c.heap[0] = c.heap[last]
-	c.heap = c.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && c.heap[l].before(c.heap[best]) {
-			best = l
-		}
-		if r < last && c.heap[r].before(c.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		c.heap[i], c.heap[best] = c.heap[best], c.heap[i]
-		i = best
-	}
-	return top
+	passes := min(int64(b), int64(c.stored())) - 1
+	return passes*(c.nodes+greedySetCost*int64(c.stored())) <= greedyBuildCost*c.nodes
 }
 
 // GreedyMaxCoverage selects up to b nodes greedily maximizing marginal
@@ -452,64 +418,114 @@ func (c *Collection) heapPop() heapEntry {
 // number of sets they jointly cover. Coverage state in the Collection is
 // not modified.
 //
-// The walk is a CELF-style lazy greedy over the inverted index: a max-heap
-// caches each candidate's last evaluated marginal gain (initially Λ_R(v),
-// exact). Because gains only shrink as sets get covered, a cached entry is
-// an upper bound — the popped maximum is re-evaluated by counting its
-// uncovered sets, and selected only if the fresh value still tops the
-// heap. This replaces the previous O(candidates) re-scan per pick with a
-// handful of index-degree-sized evaluations, and selects the exact same
-// nodes (gain descending, node id ascending on ties). Scratch (heap, epoch
-// marks) is reused, so repeated calls do not allocate after warm-up.
+// The greedy is eager over exact marginal gains: Λ_R is copied into a
+// gain scratch, each pick is the candidate of largest gain (smaller node
+// id on ties), and after every pick but the last the members of the sets
+// it newly covers lose one gain each. greedyScans picks how those sets
+// are found: by scanning and compacting the list of still-uncovered
+// stored sets, so a fresh pool is never transposed (TRIM-B's dense mRR
+// pools), or through the inverted index, built only when the scans
+// would cost more (large-k single-root pools: IMM, OPIM-C). Both paths
+// select the same nodes. Scratch is reused, so repeated calls do not
+// allocate after warm-up.
 //
 // candidates restricts selection (nil = all nodes) and must not contain
-// duplicates. Selection stops early once every remaining set is covered.
+// duplicates. Selection stops early once every set any candidate
+// belongs to is covered. Like Prune, it panics on a collection holding
+// counts-only sets, whose members it cannot see.
 //
 //asm:hotpath
 func (c *Collection) GreedyMaxCoverage(b int, candidates []int32) (seeds []int32, covered int64) {
+	if c.count != c.stored() {
+		panic("rrset: GreedyMaxCoverage on a counts-only collection")
+	}
 	if b <= 0 {
 		return nil, 0
 	}
-	c.buildIndex()
-	epoch := c.nextEpoch() // marks[id] == epoch ⇔ set id already covered
-	c.heap = c.heap[:0]
-	if candidates == nil {
-		for v := int32(0); v < c.n; v++ {
-			if c.cov[v] > 0 {
-				c.heapPush(heapEntry{gain: c.cov[v], node: v})
-			}
-		}
-	} else {
-		for _, v := range candidates {
-			if c.cov[v] > 0 {
-				c.heapPush(heapEntry{gain: c.cov[v], node: v})
-			}
-		}
+	scan := c.greedyScans(b)
+	// A single pick runs no scan pass, so it needs no uncovered list.
+	c.greedyScratch(scan && b > 1)
+	var epoch int64 // marks[id] == epoch ⇔ set id already covered (index path)
+	if !scan {
+		c.buildIndex()
+		epoch = c.nextEpoch()
 	}
-	for len(seeds) < b && len(c.heap) > 0 {
-		top := c.heapPop()
-		// Re-evaluate: count sets containing top that are still uncovered.
-		var fresh int64
-		for _, id := range c.IndexOf(top.node) {
-			if c.marks[id] != epoch {
-				fresh++
+	gain := c.gain
+	for len(seeds) < b {
+		best, g := int32(-1), int64(0)
+		if candidates == nil {
+			for v, x := range gain {
+				if x > g {
+					best, g = int32(v), x
+				}
+			}
+		} else {
+			for _, v := range candidates {
+				if x := gain[v]; x > g || (x == g && x > 0 && v < best) {
+					best, g = v, x
+				}
 			}
 		}
-		if fresh == 0 {
-			continue // fully covered; drop (and everything below may follow)
+		if g == 0 {
+			break // every set a candidate belongs to is covered
 		}
-		if fresh == top.gain {
-			// Cached bound was exact ⇒ top beats every other upper bound.
-			seeds = append(seeds, top.node)
-			covered += fresh
-			for _, id := range c.IndexOf(top.node) {
+		seeds = append(seeds, best)
+		covered += g
+		if len(seeds) == b {
+			break
+		}
+		if scan {
+			// Newly covered = the uncovered sets containing best; keep
+			// the rest, compacted in place. The membership test is a
+			// hand loop: slices.Contains made this path ≈25% slower.
+			kept := c.uncov[:0]
+			for _, id := range c.uncov {
+				set := c.Set(id)
+				hit := false
+				for _, v := range set {
+					if v == best {
+						hit = true
+						break
+					}
+				}
+				if !hit {
+					kept = append(kept, id)
+					continue
+				}
+				for _, v := range set {
+					gain[v]--
+				}
+			}
+			c.uncov = kept
+		} else {
+			for _, id := range c.idxSets[c.idxOff[best]:c.idxOff[best+1]] {
+				if c.marks[id] == epoch {
+					continue
+				}
 				c.marks[id] = epoch
+				for _, v := range c.Set(id) {
+					gain[v]--
+				}
 			}
-			continue
 		}
-		c.heapPush(heapEntry{gain: fresh, node: top.node})
 	}
 	return seeds, covered
+}
+
+// greedyScratch loads Λ_R into the greedy's gain scratch, growing it to
+// n, and refills the uncovered-set list with every stored set id when
+// the scan path will read it.
+func (c *Collection) greedyScratch(uncovered bool) {
+	if len(c.gain) < int(c.n) {
+		c.gain = make([]int64, c.n)
+	}
+	copy(c.gain, c.cov)
+	c.uncov = c.uncov[:0]
+	if uncovered {
+		for id := range int32(c.stored()) {
+			c.uncov = append(c.uncov, id)
+		}
+	}
 }
 
 // CoverageOf returns the number of stored sets intersecting the node set S.

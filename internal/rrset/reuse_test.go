@@ -303,60 +303,6 @@ func TestArgmaxAndGreedyTieBreakUnderReuse(t *testing.T) {
 	}
 }
 
-// TestGreedyLazyMatchesLinearScan compares the CELF-style lazy greedy
-// against the straightforward linear-scan greedy on random pools.
-func TestGreedyLazyMatchesLinearScan(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Name: "lazy", N: 300, AvgDeg: 4, UniformMix: 0.4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(g, diffusion.IC, 1)
-	defer e.Close()
-	nodes := make([]int32, g.N())
-	for i := range nodes {
-		nodes[i] = int32(i)
-	}
-	c := NewCollection(g)
-	e.Generate(c, Request{Strategy: MultiRoot(RoundRandomized), Inactive: nodes, EtaI: 40, Count: 500, Seed: 5})
-
-	// Reference: naive greedy with explicit marginal recount per pick.
-	covered := map[int32]bool{}
-	var refSeeds []int32
-	var refCovered int64
-	for pick := 0; pick < 6; pick++ {
-		best, bestGain := int32(-1), int64(0)
-		for v := int32(0); v < g.N(); v++ {
-			var gain int64
-			for _, id := range c.IndexOf(v) {
-				if !covered[id] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = v, gain
-			}
-		}
-		if best < 0 || bestGain == 0 {
-			break
-		}
-		refSeeds = append(refSeeds, best)
-		refCovered += bestGain
-		for _, id := range c.IndexOf(best) {
-			covered[id] = true
-		}
-	}
-
-	seeds, cov := c.GreedyMaxCoverage(6, nil)
-	if cov != refCovered || len(seeds) != len(refSeeds) {
-		t.Fatalf("lazy greedy (%v, %d) vs naive (%v, %d)", seeds, cov, refSeeds, refCovered)
-	}
-	for i := range seeds {
-		if seeds[i] != refSeeds[i] {
-			t.Fatalf("lazy greedy pick %d is %d, naive picked %d", i, seeds[i], refSeeds[i])
-		}
-	}
-}
-
 // BenchmarkPrune measures the steady-state cost of a reuse round at the
 // collection/engine level: scan the pool against a small activation
 // delta, refresh the invalidated sets, top back up.

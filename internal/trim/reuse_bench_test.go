@@ -56,8 +56,8 @@ func runScriptedRounds(b testing.TB, pol *Policy, g *graph.Graph, eta int64, rou
 		for _, v := range batch {
 			active.Set(v)
 		}
-		st.Inactive, st.Delta = adaptive.CompactInactive(st.Inactive, active)
 		seeds = append(seeds, batch...)
+		st.Inactive, st.Delta = adaptive.CompactInactive(st.Inactive, active)
 	}
 	return seeds
 }

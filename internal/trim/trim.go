@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"asti/internal/adaptive"
 	"asti/internal/rrset"
@@ -486,8 +487,9 @@ func (p *Policy) SelectBatch(st *adaptive.State) ([]int32, error) {
 		}
 		if len(seeds) == 0 {
 			// No set coverage at all (degenerate residual graph): any
-			// inactive node is as good as any other.
-			return st.Inactive[:min(b, len(st.Inactive))], nil
+			// inactive node is as good as any other. A copy, as the host
+			// loop compacts st.Inactive in place.
+			return slices.Clone(st.Inactive[:min(b, len(st.Inactive))]), nil
 		}
 		lower := stats.CoverageLower(float64(covered), a1)
 		upper := stats.CoverageUpper(float64(covered)/rhoB, a2)
