@@ -27,8 +27,7 @@ func Experiments() []string {
 		"ablation-rounding", "ablation-batch", "ablation-truncated",
 		"ablation-scaling", "ablation-adaptivity", "ablation-vaswani",
 		"ablation-weighting", "ablation-imsolvers",
-		"parallel-speedup", "serve-throughput", "serve-recovery", "trim",
-		"matrix",
+		"parallel-speedup", "trim",
 		"export-ic", "export-lt", "export-csv-ic", "export-csv-lt",
 	}
 }
@@ -39,10 +38,8 @@ type Runner struct {
 	// Profile is the knob bundle every experiment reads.
 	Profile  Profile
 	Progress io.Writer // nil silences progress lines
-	// BenchDir, when non-empty, receives machine-readable
-	// BENCH_<experiment>.json files from perf experiments ("trim" →
-	// BENCH_trim.json, "serve-recovery" → BENCH_serve.json), so the perf
-	// trajectory can be tracked PR-over-PR.
+	// BenchDir, when non-empty, receives the "trim" experiment's
+	// machine-readable report as BENCH_trim.json.
 	BenchDir string
 
 	sweeps map[diffusion.Model]*Sweep
@@ -148,14 +145,8 @@ func (r *Runner) Run(id string, w io.Writer) error {
 		return r.ablationScaling(w)
 	case "parallel-speedup":
 		return r.parallelSpeedup(w)
-	case "serve-throughput":
-		return r.serveThroughput(w)
-	case "serve-recovery":
-		return r.serveRecovery(w)
 	case "trim":
 		return r.trimReuse(w)
-	case "matrix":
-		return r.matrix(w)
 	case "export-ic", "export-lt":
 		model := diffusion.IC
 		if id == "export-lt" {

@@ -1,6 +1,6 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§6, Appendices C–D) on the synthetic
-// scale-model datasets, plus the ablations DESIGN.md calls out.
+// scale-model datasets, plus ablations of the algorithms' design choices.
 //
 // Each experiment prints the same rows/series the paper reports, as
 // aligned text. Absolute numbers differ from the paper (pure-Go on

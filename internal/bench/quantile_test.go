@@ -3,60 +3,73 @@ package bench
 import (
 	"math"
 	"testing"
-	"time"
 )
 
+// roundsOf builds a run's rounds from their selection latencies.
+func roundsOf(secs ...float64) []RoundPerf {
+	rounds := make([]RoundPerf, len(secs))
+	for i, s := range secs {
+		rounds[i] = RoundPerf{Round: i + 1, Seconds: s}
+	}
+	return rounds
+}
+
 // TestPercentileInterpolates is the regression test for the harness's
-// old nearest-rank quantiles: over a small sample (every serve/recovery
-// experiment reports p99 over tens of observations) the p99 and p999
-// must interpolate between the top order statistics instead of
-// degenerating to the maximum outlier.
+// old nearest-rank quantiles: over the tens of rounds a trim run
+// reports, the p99 round latency must interpolate between the top order
+// statistics instead of degenerating to the maximum outlier.
 func TestPercentileInterpolates(t *testing.T) {
-	// 50 evenly spaced samples plus one large outlier: nearest-rank p99
+	// 50 evenly spaced rounds plus one slow outlier: nearest-rank p99
 	// reported the outlier itself; interpolation must stay between the
 	// 50th and 51st order statistics.
-	var lats []time.Duration
+	var secs []float64
 	for i := 1; i <= 50; i++ {
-		lats = append(lats, time.Duration(i)*time.Millisecond)
+		secs = append(secs, float64(i)*1e-3)
 	}
-	lats = append(lats, 10*time.Second)
-	p99 := percentile(lats, 0.99)
-	if p99 >= 10*time.Second {
-		t.Fatalf("p99 = %v: still degenerates to the max outlier", p99)
+	secs = append(secs, 10)
+	var pr PerfRun
+	pr.setRounds(roundsOf(secs...))
+	if pr.Rounds != 51 {
+		t.Errorf("rounds = %d, want 51", pr.Rounds)
 	}
-	if p99 < 50*time.Millisecond {
-		t.Fatalf("p99 = %v: below the second-largest sample", p99)
+	if pr.P99RoundSeconds >= 10 {
+		t.Fatalf("p99 = %g: still degenerates to the max outlier", pr.P99RoundSeconds)
 	}
-	if p50 := percentile(lats, 0.50); p50 != 26*time.Millisecond {
-		t.Errorf("p50 = %v, want 26ms", p50)
+	if pr.P99RoundSeconds < 50e-3 {
+		t.Fatalf("p99 = %g: below the second-largest round", pr.P99RoundSeconds)
 	}
-	// Ordering must hold for the tail quantiles the harness reports.
-	p999 := percentile(lats, 0.999)
-	if !(p99 <= p999 && p999 <= lats[len(lats)-1]) {
-		t.Errorf("quantile ordering violated: p99 %v, p999 %v, max %v", p99, p999, lats[len(lats)-1])
+	if math.Abs(pr.P50RoundSeconds-26e-3) > 1e-12 {
+		t.Errorf("p50 = %g, want 0.026", pr.P50RoundSeconds)
 	}
 }
 
-// TestPercentileFSmallSamples pins the float variant on the degenerate
-// sizes the recovery experiment feeds it (a handful of trials).
+// TestPercentileFSmallSamples pins the round percentiles on the
+// degenerate run sizes a tiny profile produces (a handful of rounds),
+// and checks the rounds stay in the round order the report lists them in.
 func TestPercentileFSmallSamples(t *testing.T) {
-	if got := percentileF(nil, 0.99); got != 0 {
-		t.Errorf("empty: %g, want 0", got)
+	var pr PerfRun
+	pr.setRounds(nil)
+	if pr.Rounds != 0 || pr.P50RoundSeconds != 0 || pr.P99RoundSeconds != 0 {
+		t.Errorf("no rounds: %+v, want zero percentiles", pr)
 	}
-	if got := percentileF([]float64{3}, 0.99); got != 3 {
-		t.Errorf("singleton: %g, want 3", got)
+	pr.setRounds(roundsOf(3))
+	if pr.P50RoundSeconds != 3 || pr.P99RoundSeconds != 3 {
+		t.Errorf("one round: p50 %g p99 %g, want 3", pr.P50RoundSeconds, pr.P99RoundSeconds)
 	}
-	// Two samples: the p99 must be a blend, not simply the larger one.
-	got := percentileF([]float64{1, 2}, 0.99)
-	if want := 1.99; math.Abs(got-want) > 1e-9 {
-		t.Errorf("pair p99 = %g, want %g", got, want)
+	// Two rounds: the p99 must be a blend, not simply the slower one.
+	pr.setRounds(roundsOf(1, 2))
+	if want := 1.99; math.Abs(pr.P99RoundSeconds-want) > 1e-9 {
+		t.Errorf("two rounds p99 = %g, want %g", pr.P99RoundSeconds, want)
 	}
-	// Unsorted input is sorted on a copy.
-	xs := []float64{5, 1, 3}
-	if got := percentileF(xs, 0.5); got != 3 {
-		t.Errorf("median = %g, want 3", got)
+	// Unsorted latencies are sorted on a copy.
+	rounds := roundsOf(5, 1, 3)
+	pr.setRounds(rounds)
+	if pr.P50RoundSeconds != 3 {
+		t.Errorf("median = %g, want 3", pr.P50RoundSeconds)
 	}
-	if xs[0] != 5 {
-		t.Errorf("input mutated: %v", xs)
+	for i, rp := range rounds {
+		if rp.Round != i+1 || rp.Seconds != []float64{5, 1, 3}[i] {
+			t.Fatalf("rounds reordered: %+v", rounds)
+		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 	"asti/internal/diffusion"
 	"asti/internal/gen"
 	"asti/internal/graph"
-	"asti/internal/hdr"
 	"asti/internal/rng"
 	"asti/internal/rrset"
+	"asti/internal/stats"
 	"asti/internal/trim"
 )
 
@@ -63,6 +63,18 @@ type PerfRun struct {
 	Rounds int `json:"rounds"`
 }
 
+// setRounds records the round count and the round-latency percentiles
+// of rounds, which it leaves in round order.
+func (pr *PerfRun) setRounds(rounds []RoundPerf) {
+	pr.Rounds = len(rounds)
+	lat := make([]float64, len(rounds))
+	for i, rp := range rounds {
+		lat[i] = rp.Seconds
+	}
+	pr.P50RoundSeconds = stats.Quantile(lat, 0.50)
+	pr.P99RoundSeconds = stats.Quantile(lat, 0.99)
+}
+
 // PerfReport is the machine-readable result of a perf experiment,
 // written as BENCH_<experiment>.json so the perf trajectory can be
 // tracked PR-over-PR.
@@ -107,33 +119,24 @@ type SmallDeltaPerf struct {
 	Identical     bool    `json:"identical_selections"`
 }
 
-// benchPath is the machine-readable result path for an experiment.
-func benchPath(dir, experiment string) string {
-	return filepath.Join(dir, "BENCH_"+experiment+".json")
-}
-
-// writeBenchFile writes any perf report into dir (created if needed) as
-// BENCH_<experiment>.json.
-func writeBenchFile(dir, experiment string, v any) error {
+// writeBenchJSON writes the report into dir (created if needed) as
+// BENCH_<experiment>.json and returns the path written.
+func writeBenchJSON(dir string, rep *PerfReport) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return "", err
 	}
-	f, err := os.Create(benchPath(dir, experiment))
+	path := filepath.Join(dir, "BENCH_"+rep.Experiment+".json")
+	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := enc.Encode(rep); err != nil {
 		f.Close()
-		return err
+		return "", err
 	}
-	return f.Close()
-}
-
-// writeBenchJSON writes the report into dir as BENCH_<experiment>.json.
-func writeBenchJSON(dir string, rep *PerfReport) error {
-	return writeBenchFile(dir, rep.Experiment, rep)
+	return path, f.Close()
 }
 
 // roundRecorder wraps a trim policy to trace per-round selection latency
@@ -165,13 +168,6 @@ func (rr *roundRecorder) SelectBatch(st *adaptive.State) ([]int32, error) {
 	})
 	rr.last = s
 	return batch, nil
-}
-
-// percentileF returns the p-quantile (0 ≤ p ≤ 1) of xs on a sorted
-// copy, with the same interpolated (Hyndman–Fan type 7) estimator as
-// the duration-based percentile in serve.go.
-func percentileF(xs []float64, p float64) float64 {
-	return hdr.QuantileOf(xs, p)
 }
 
 // smallDeltaRun times a scripted campaign on g whose observation after
@@ -290,13 +286,7 @@ func (r *Runner) trimReuse(w io.Writer) error {
 			seeds = append(seeds, res.Seeds)
 			pol.Close()
 		}
-		pr.Rounds = len(rounds)
-		lat := make([]float64, len(rounds))
-		for i, rp := range rounds {
-			lat[i] = rp.Seconds
-		}
-		pr.P50RoundSeconds = percentileF(lat, 0.50)
-		pr.P99RoundSeconds = percentileF(lat, 0.99)
+		pr.setRounds(rounds)
 		if pr.Seconds > 0 {
 			pr.SetsPerSec = float64(pr.SetsGenerated) / pr.Seconds
 		}
@@ -369,10 +359,11 @@ func (r *Runner) trimReuse(w io.Writer) error {
 		return fmt.Errorf("bench: pool reuse changed the selected seeds")
 	}
 	if r.BenchDir != "" {
-		if err := writeBenchJSON(r.BenchDir, rep); err != nil {
+		path, err := writeBenchJSON(r.BenchDir, rep)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "wrote %s\n", filepath.Join(r.BenchDir, "BENCH_trim.json"))
+		fmt.Fprintf(w, "wrote %s\n", path)
 	}
 	return nil
 }

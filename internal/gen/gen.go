@@ -7,7 +7,7 @@
 // algorithms are actually sensitive to — power-law degree tails, a large
 // weakly connected component, and the paper's weighted-cascade edge
 // probabilities — so cross-dataset trends survive even though absolute
-// numbers differ (DESIGN.md §5).
+// numbers differ.
 package gen
 
 import (

@@ -1,7 +1,7 @@
-// Package hdr provides the latency machinery shared by the perf and
-// load harnesses: an HDR-style log-linear histogram for recording
-// durations at fixed relative error without keeping every sample, and
-// interpolated quantile helpers for the places that do keep samples.
+// Package hdr provides an HDR-style log-linear histogram that records
+// latencies at fixed relative error without keeping every sample; the
+// load generator and its reports read their quantiles from it. (Code
+// that keeps every sample uses stats.Quantile instead.)
 //
 // The histogram follows the high-dynamic-range design (Gil Tene's
 // HdrHistogram): values are bucketed by power-of-two magnitude, each
@@ -10,18 +10,10 @@
 // from 1µs to over an hour — in a few KiB of counters. Recording is a
 // single atomic increment, so one histogram can absorb samples from
 // thousands of concurrent load-generator workers without locks.
-//
-// The sample-based helpers (Quantile, QuantileDurations) use linear
-// interpolation between order statistics (Hyndman–Fan type 7, the
-// default estimator of R and NumPy). Unlike the nearest-rank rule they
-// replace, they do not degenerate on small samples: the p99 of 10
-// observations is a blend of the two largest, not simply the maximum.
 package hdr
 
 import (
-	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -182,61 +174,4 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 		cum += c
 	}
 	return h.Max()
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of sorted xs by linear
-// interpolation between order statistics (Hyndman–Fan type 7, the
-// default of R and NumPy): the rank is h = p·(n−1) and the result
-// blends xs[⌊h⌋] and xs[⌊h⌋+1]. Unlike nearest-rank it is continuous in
-// p and does not collapse high quantiles onto the maximum for small n.
-// xs must be sorted ascending; returns 0 when empty.
-func Quantile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	switch {
-	case n == 0:
-		return 0
-	case n == 1:
-		return sorted[0]
-	case p <= 0:
-		return sorted[0]
-	case p >= 1:
-		return sorted[n-1]
-	}
-	h := p * float64(n-1)
-	i := int(math.Floor(h))
-	frac := h - float64(i)
-	if i+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
-}
-
-// QuantileOf sorts a copy of xs and returns its p-quantile.
-func QuantileOf(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return Quantile(s, p)
-}
-
-// QuantileDurations returns the p-quantile of sorted durations by the
-// same type-7 interpolation as Quantile.
-func QuantileDurations(sorted []time.Duration, p float64) time.Duration {
-	n := len(sorted)
-	switch {
-	case n == 0:
-		return 0
-	case n == 1:
-		return sorted[0]
-	case p <= 0:
-		return sorted[0]
-	case p >= 1:
-		return sorted[n-1]
-	}
-	h := p * float64(n-1)
-	i := int(math.Floor(h))
-	frac := h - float64(i)
-	if i+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[i] + time.Duration(frac*float64(sorted[i+1]-sorted[i]))
 }

@@ -3,10 +3,11 @@ package hdr
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"asti/internal/stats"
 )
 
 // TestBucketRoundTrip pins the bucket geometry: every bucket's bounds
@@ -31,7 +32,8 @@ func TestBucketRoundTrip(t *testing.T) {
 }
 
 // TestHistogramQuantileAccuracy records a known distribution and checks
-// the reported quantiles land within the histogram's relative error.
+// the reported quantiles land within the histogram's relative error of
+// the exact sample quantiles (stats.Quantile).
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	h := New()
 	rng := rand.New(rand.NewSource(7))
@@ -43,10 +45,9 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		samples = append(samples, d.Seconds())
 		h.Record(d)
 	}
-	sort.Float64s(samples)
 	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
 		got := h.Quantile(p).Seconds()
-		want := Quantile(samples, p)
+		want := stats.Quantile(samples, p)
 		if rel := math.Abs(got-want) / want; rel > 0.05 {
 			t.Errorf("p%g: histogram %.6f vs exact %.6f (rel err %.3f)", p*100, got, want, rel)
 		}
@@ -107,73 +108,129 @@ func TestHistogramMerge(t *testing.T) {
 }
 
 // TestQuantileSmallSamples is the regression test for the nearest-rank
-// degeneration this package replaces: on tiny samples, high quantiles
-// must interpolate between order statistics, not collapse onto the max.
+// degeneration: on tiny samples the histogram targets the type-7 rank
+// p·(n−1), so a high quantile lands in the bucket of the order statistic
+// below that rank instead of collapsing onto the max.
 func TestQuantileSmallSamples(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1},
-		{0.25, 3.25},
-		{0.5, 5.5},
-		{0.75, 7.75},
-		{0.9, 9.1},
-		{0.99, 9.91}, // nearest-rank reported 10 — the max — for every p > 0.9
-		{0.999, 9.991},
-		{1, 10},
+	h := New()
+	var xs []time.Duration
+	for i := 1; i <= 10; i++ {
+		d := time.Duration(i) * time.Millisecond
+		xs = append(xs, d)
+		h.Record(d)
 	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(1..10, %g) = %g, want %g", c.p, got, c.want)
+	// One sample per bucket: the estimate lies within 1.5 bucket widths
+	// of that order statistic, and a width is at most 1/2^subBits of it.
+	for _, p := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
+		below := xs[int(p*float64(len(xs)-1))].Seconds()
+		got := h.Quantile(p).Seconds()
+		if rel := math.Abs(got-below) / below; rel > 1.5/(1<<subBits) {
+			t.Errorf("p%g = %.6fs, order statistic %.6fs (rel err %.3f)", p*100, got, below, rel)
 		}
 	}
+	if p99 := h.Quantile(0.99); p99 >= h.Max() {
+		t.Errorf("p99 = %v: collapses onto the max %v", p99, h.Max())
+	}
+	if h.Quantile(1) != h.Max() {
+		t.Errorf("p100 = %v, want the max %v", h.Quantile(1), h.Max())
+	}
 	// Degenerate sizes.
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty: %g, want 0", got)
+	if got := New().Quantile(0.5); got != 0 {
+		t.Errorf("empty: %v, want 0", got)
 	}
-	if got := Quantile([]float64{42}, 0.99); got != 42 {
-		t.Errorf("singleton: %g, want 42", got)
+	one := New()
+	one.Record(42 * time.Millisecond)
+	for _, p := range []float64{0, 0.5, 0.99, 1} {
+		if got := one.Quantile(p); got != 42*time.Millisecond {
+			t.Errorf("singleton p%g: %v, want 42ms", p*100, got)
+		}
 	}
-	if got := Quantile([]float64{1, 3}, 0.5); got != 2 {
-		t.Errorf("pair median: %g, want 2", got)
+	pair := New()
+	pair.Record(time.Millisecond)
+	pair.Record(3 * time.Millisecond)
+	for p := 0.0; p <= 1.0; p += 0.25 {
+		if got := pair.Quantile(p); got < time.Millisecond || got > 3*time.Millisecond {
+			t.Errorf("pair p%g: %v, outside [1ms, 3ms]", p*100, got)
+		}
 	}
 	// Monotone in p.
-	prev := math.Inf(-1)
+	var prev time.Duration
 	for p := 0.0; p <= 1.0; p += 0.01 {
-		q := Quantile(xs, p)
+		q := h.Quantile(p)
 		if q < prev {
-			t.Fatalf("not monotone at p=%g: %g < %g", p, q, prev)
+			t.Fatalf("not monotone at p=%g: %v < %v", p, q, prev)
 		}
 		prev = q
 	}
 }
 
-// TestQuantileDurations mirrors the float behavior on durations.
+// TestQuantileDurations pins how recorded durations reach the quantiles
+// at the edges of the recordable range: negative and sub-microsecond
+// durations record as zero, a duration beyond the top magnitude clamps
+// into the top bucket while the max stays exact, and p outside [0, 1]
+// clamps.
 func TestQuantileDurations(t *testing.T) {
-	var ds []time.Duration
-	for i := 1; i <= 10; i++ {
-		ds = append(ds, time.Duration(i)*time.Millisecond)
-	}
-	if got, want := QuantileDurations(ds, 0.99), 9910*time.Microsecond; got != want {
-		t.Errorf("p99 = %v, want %v", got, want)
-	}
-	if got := QuantileDurations(nil, 0.5); got != 0 {
+	if got := New().Quantile(0.5); got != 0 {
 		t.Errorf("empty: %v, want 0", got)
 	}
-	if got, want := QuantileDurations(ds[:1], 0.999), time.Millisecond; got != want {
-		t.Errorf("singleton: %v, want %v", got, want)
+	one := New()
+	one.Record(time.Millisecond)
+	if got := one.Quantile(0.999); got != time.Millisecond {
+		t.Errorf("singleton p99.9: %v, want 1ms", got)
+	}
+
+	h := New()
+	h.Record(-time.Second)
+	h.Record(500 * time.Nanosecond)
+	if h.Count() != 2 || h.Max() != 0 || h.Quantile(1) != 0 {
+		t.Errorf("sub-unit durations: count %d, max %v, p100 %v; want 2, 0, 0", h.Count(), h.Max(), h.Quantile(1))
+	}
+	const huge = 2 * time.Hour
+	h.Record(huge)
+	if h.Max() != huge {
+		t.Errorf("max = %v, want %v", h.Max(), huge)
+	}
+	lo, width := bucketBounds(numBuckets - 1)
+	if got := h.Quantile(1); got < time.Duration(lo)*unit || got >= time.Duration(lo+width)*unit {
+		t.Errorf("p100 = %v, outside the top bucket [%v, %v)", got, time.Duration(lo)*unit, time.Duration(lo+width)*unit)
+	}
+	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+		t.Errorf("p outside [0,1] not clamped: p-100 %v vs p0 %v, p200 %v vs p100 %v",
+			h.Quantile(-1), h.Quantile(0), h.Quantile(2), h.Quantile(1))
 	}
 }
 
-// TestQuantileOf checks the sorting wrapper leaves its input alone.
+// TestQuantileOf checks a histogram's quantiles are a function of the
+// recorded samples alone: recording order does not move them, and
+// reading them leaves the histogram unchanged.
 func TestQuantileOf(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if got := QuantileOf(xs, 0.5); got != 3 {
-		t.Errorf("median = %g, want 3", got)
-	}
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Errorf("input mutated: %v", xs)
+	ps := []float64{0, 0.5, 0.99, 1}
+	var want []time.Duration
+	for _, order := range [][]int{{5, 1, 3}, {1, 3, 5}, {3, 5, 1}} {
+		h := New()
+		for _, ms := range order {
+			h.Record(time.Duration(ms) * time.Millisecond)
+		}
+		var got []time.Duration
+		for _, p := range ps {
+			got = append(got, h.Quantile(p))
+		}
+		if med := got[1].Seconds(); math.Abs(med-3e-3)/3e-3 > 1.5/(1<<subBits) {
+			t.Errorf("order %v: median = %v, want ~3ms", order, got[1])
+		}
+		if want == nil {
+			want = got
+		}
+		for i, p := range ps {
+			if got[i] != want[i] {
+				t.Errorf("order %v: p%g = %v, want %v", order, p*100, got[i], want[i])
+			}
+			if again := h.Quantile(p); again != got[i] {
+				t.Errorf("order %v: p%g read %v then %v", order, p*100, got[i], again)
+			}
+		}
+		if h.Count() != 3 || h.Max() != 5*time.Millisecond {
+			t.Errorf("order %v: count %d, max %v after reads; want 3, 5ms", order, h.Count(), h.Max())
+		}
 	}
 }

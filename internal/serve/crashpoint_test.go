@@ -22,7 +22,7 @@ const crashRounds = 4
 // rounds, activating each proposed batch verbatim (the smallest
 // observation that advances the campaign), and returns the batches
 // indexed by round (batches[r] is round r's, batches[0] unused).
-func driveBatchOnlyRounds(t *testing.T, s *serve.Session, rounds int) [][]int32 {
+func driveBatchOnlyRounds(t testing.TB, s *serve.Session, rounds int) [][]int32 {
 	t.Helper()
 	batches := make([][]int32, rounds+1)
 	for r := 1; r <= rounds; r++ {
@@ -34,7 +34,7 @@ func driveBatchOnlyRounds(t *testing.T, s *serve.Session, rounds int) [][]int32 
 		if prog, err := s.Observe(batch); err != nil {
 			t.Fatalf("round %d Observe: %v", r, err)
 		} else if prog.Done {
-			t.Fatalf("campaign finished at round %d; raise EtaFrac so every crash point is mid-campaign", r)
+			t.Fatalf("campaign finished at round %d of %d; raise EtaFrac", r, rounds)
 		}
 	}
 	return batches

@@ -6,6 +6,12 @@ import (
 	"asti/internal/serve"
 )
 
+// benchConfig is the session every benchmark here plays, for benchRounds
+// rounds of batch-only observations.
+var benchConfig = serve.Config{Dataset: "test", EtaFrac: 0.3, Workers: 1, Seed: 7}
+
+const benchRounds = 10
+
 // benchReactivate measures the Manager.Session lookup that brings a
 // passivated 10-round session back to life, under the given extra
 // manager options; with pending, the session is parked with an 11th
@@ -17,20 +23,11 @@ func benchReactivate(b *testing.B, pending bool, opts ...serve.ManagerOption) {
 	all := append([]serve.ManagerOption{serve.WithJournalDir(b.TempDir())}, opts...)
 	mgr := serve.NewManager(reg, 0, all...)
 	defer mgr.CloseAll()
-	s, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.3, Workers: 1, Seed: 7})
+	s, err := mgr.Create(benchConfig)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const rounds = 10
-	for r := 0; r < rounds; r++ {
-		batch, err := s.NextBatch()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Observe(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
+	driveBatchOnlyRounds(b, s, benchRounds)
 	if pending {
 		if _, err := s.NextBatch(); err != nil {
 			b.Fatal(err)
@@ -69,4 +66,43 @@ func BenchmarkReactivatePending(b *testing.B) {
 // the full 10-round replay this subsystem exists to avoid.
 func BenchmarkReactivateFullReplay(b *testing.B) {
 	benchReactivate(b, false, serve.WithCheckpointEvery(0))
+}
+
+// benchStep measures one step (a NextBatch plus its Observe) under the
+// given manager options: every iteration plays the same 10-round
+// campaign that observes only each batch, with the default checkpoint
+// interval. Creating and closing the session are kept off the clock.
+func benchStep(b *testing.B, opts ...serve.ManagerOption) {
+	mgr := serve.NewManager(testRegistry(b), 0, opts...)
+	defer mgr.CloseAll()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := mgr.Create(benchConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		driveBatchOnlyRounds(b, s, benchRounds)
+		b.StopTimer()
+		if err := mgr.Close(s.ID()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRounds), "ns/step")
+}
+
+// BenchmarkStepInMemory is the step cost without durability: the
+// baseline of BenchmarkStepJournaled.
+func BenchmarkStepInMemory(b *testing.B) {
+	benchStep(b)
+}
+
+// BenchmarkStepJournaled is the step cost with write-ahead journaling:
+// an fsynced append per proposal and per observation, plus a checkpoint
+// every DefaultCheckpointEvery rounds. Its ns/step less
+// BenchmarkStepInMemory's is the per-step cost of durability.
+func BenchmarkStepJournaled(b *testing.B) {
+	benchStep(b, serve.WithJournalDir(b.TempDir()))
 }

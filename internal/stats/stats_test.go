@@ -186,3 +186,68 @@ func TestQuantileSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuantileSmallSamples pins Quantile as Hyndman–Fan type 7 on the
+// small samples experiment reports take quantiles of: high quantiles
+// interpolate between the top order statistics instead of collapsing
+// onto the maximum, as the nearest-rank rule does for every p > 1−1/n.
+func TestQuantileSmallSamples(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		p    float64
+		want float64
+	}{
+		{0, 1},
+		{0.25, 3.25},
+		{0.5, 5.5},
+		{0.75, 7.75},
+		{0.9, 9.1},
+		{0.99, 9.91}, // nearest-rank reports 10, the max
+		{0.999, 9.991},
+		{1, 10},
+	}
+	for _, c := range cases {
+		if got := Quantile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("Quantile(1..10, %g) = %g, want %g", c.p, got, c.want)
+		}
+	}
+	// Degenerate sizes.
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("empty: %g, want 0", got)
+	}
+	if got := Quantile([]float64{42}, 0.99); got != 42 {
+		t.Errorf("singleton: %g, want 42", got)
+	}
+	if got := Quantile([]float64{1, 3}, 0.5); got != 2 {
+		t.Errorf("pair median: %g, want 2", got)
+	}
+	if got := Quantile([]float64{1, 2}, 0.99); math.Abs(got-1.99) > 1e-9 {
+		t.Errorf("pair p99: %g, want 1.99 (a blend, not the larger)", got)
+	}
+	// One outlier above 50 evenly spaced samples does not become the p99.
+	tail := make([]float64, 0, 51)
+	for i := 1; i <= 50; i++ {
+		tail = append(tail, float64(i))
+	}
+	tail = append(tail, 1e4)
+	if got := Quantile(tail, 0.99); got <= 50 || got >= 1e4 {
+		t.Errorf("p99 with one outlier = %g, want strictly between 50 and 1e4", got)
+	}
+	// Unsorted input is sorted on a copy, never in place.
+	un := []float64{5, 1, 3}
+	if got := Quantile(un, 0.5); got != 3 {
+		t.Errorf("unsorted median: %g, want 3", got)
+	}
+	if un[0] != 5 || un[1] != 1 || un[2] != 3 {
+		t.Errorf("input mutated: %v", un)
+	}
+	// Monotone in p.
+	prev := math.Inf(-1)
+	for p := 0.0; p <= 1.0; p += 0.01 {
+		q := Quantile(xs, p)
+		if q < prev {
+			t.Fatalf("not monotone at p=%g: %g < %g", p, q, prev)
+		}
+		prev = q
+	}
+}

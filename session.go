@@ -105,8 +105,9 @@ func NewSessionManager(reg *SessionRegistry, limit int, opts ...SessionManagerOp
 //	rep, err := mgr.Recover("") // on startup
 //	log.Printf("recovered %d session(s)", rep.Recovered)
 //
-// Durability costs one fsync per transition; see BENCH_serve.json for
-// the measured overhead and recovery latency.
+// Durability costs one fsync per transition. In internal/serve,
+// BenchmarkStepJournaled against BenchmarkStepInMemory measures that
+// per-step overhead, and BenchmarkReactivate* the cost of a restore.
 func WithJournalDir(dir string) SessionManagerOption {
 	return serve.WithJournalDir(dir)
 }
