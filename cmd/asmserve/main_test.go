@@ -573,6 +573,11 @@ func TestReactivationFailureIs500(t *testing.T) {
 	if code := call(t, "GET", ts.URL+"/v1/sessions/"+st.ID, nil, &errBody); code != http.StatusInternalServerError {
 		t.Errorf("status on damaged passivated session: code %d (%s), want 500", code, errBody.Error)
 	}
+	for _, step := range []string{"next", "observe"} {
+		if code := call(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/"+step, observeRequest{}, &errBody); code != http.StatusInternalServerError {
+			t.Errorf("%s on damaged passivated session: code %d (%s), want 500", step, code, errBody.Error)
+		}
+	}
 	// Unknown ids are still the caller's 404.
 	if code := call(t, "GET", ts.URL+"/v1/sessions/s99", nil, &errBody); code != http.StatusNotFound {
 		t.Errorf("unknown id: code %d, want 404", code)

@@ -253,76 +253,52 @@ func (sv *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// probe always reports the live phase, never "passivated".
 	s, err := sv.mgr.Session(r.PathValue("id"))
 	if err != nil {
-		writeError(w, lookupStatus(err), err)
+		writeError(w, stepStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, toStatusResponse(s.Status()))
 }
 
 func (sv *server) handleNext(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	t0 := time.Now()
-	// Retry once through the manager if an idle sweep passivates the
-	// session between our lookup and the call: the re-fetch reactivates
-	// it from the journal and hands back a live session, making
-	// passivation invisible to clients.
-	for attempt := 0; ; attempt++ {
-		s, err := sv.mgr.Session(id)
-		if err != nil {
-			writeError(w, lookupStatus(err), err)
-			return
-		}
-		prop, err := s.Propose()
-		if errors.Is(err, serve.ErrPassivated) && attempt == 0 {
-			continue
-		}
-		if err != nil {
-			status := stepStatus(err)
-			sv.setRetryAfter(w, status, err)
-			writeError(w, status, err)
-			return
-		}
-		sv.nextLat.observe(time.Since(t0))
-		writeJSON(w, http.StatusOK, batchResponse{ID: s.ID(), Round: prop.Round, Seeds: prop.Seeds})
+	s, err := sv.mgr.Session(r.PathValue("id"))
+	var prop serve.Proposal
+	if err == nil {
+		prop, err = s.Propose()
+	}
+	if err != nil {
+		writeError(w, stepStatus(err), err)
 		return
 	}
+	sv.nextLat.observe(time.Since(t0))
+	writeJSON(w, http.StatusOK, batchResponse{ID: s.ID(), Round: prop.Round, Seeds: prop.Seeds})
 }
 
 func (sv *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	var req observeRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	t0 := time.Now()
-	for attempt := 0; ; attempt++ {
-		s, err := sv.mgr.Session(id)
-		if err != nil {
-			writeError(w, lookupStatus(err), err)
-			return
-		}
-		prog, err := s.Observe(req.Activated)
-		if errors.Is(err, serve.ErrPassivated) && attempt == 0 {
-			continue
-		}
-		if err != nil {
-			status := stepStatus(err)
-			sv.setRetryAfter(w, status, err)
-			writeError(w, status, err)
-			return
-		}
-		sv.observeLat.observe(time.Since(t0))
-		writeJSON(w, http.StatusOK, progressResponse{
-			ID:             s.ID(),
-			Round:          prog.Round,
-			NewlyActivated: prog.NewlyActivated,
-			Activated:      prog.Activated,
-			EtaI:           prog.EtaI,
-			Done:           prog.Done,
-		})
+	s, err := sv.mgr.Session(r.PathValue("id"))
+	var prog serve.Progress
+	if err == nil {
+		prog, err = s.Observe(req.Activated)
+	}
+	if err != nil {
+		writeError(w, stepStatus(err), err)
 		return
 	}
+	sv.observeLat.observe(time.Since(t0))
+	writeJSON(w, http.StatusOK, progressResponse{
+		ID:             s.ID(),
+		Round:          prog.Round,
+		NewlyActivated: prog.NewlyActivated,
+		Activated:      prog.Activated,
+		EtaI:           prog.EtaI,
+		Done:           prog.Done,
+	})
 }
 
 func (sv *server) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -375,18 +351,6 @@ func parseModel(name string) (diffusion.Model, error) {
 	}
 }
 
-// lookupStatus maps Manager.Session errors to HTTP statuses: an id not
-// in the table is the caller's 404; anything else means the session
-// exists but its reactivation failed (journal damaged on disk,
-// environment drift) — a server-side 500 the operator must see, never a
-// 404 that tells the client its campaign is gone.
-func lookupStatus(err error) int {
-	if errors.Is(err, serve.ErrUnknownSession) {
-		return http.StatusNotFound
-	}
-	return http.StatusInternalServerError
-}
-
 // createStatus maps session-creation errors to HTTP statuses: unknown
 // dataset names are the caller's mistake (404), loader failures are
 // server-side (500), an open journal-health breaker is a transient 503
@@ -407,14 +371,13 @@ func createStatus(err error) int {
 	}
 }
 
-// setRetryAfter stamps a Retry-After hint (in seconds) on retryable
-// rejections, so well-behaved clients back off instead of hammering:
+// setRetryAfter stamps a Retry-After hint (in seconds) on the retryable
+// create rejections, so well-behaved clients back off instead of
+// hammering:
 //   - breaker-open 503s advertise the time until the breaker re-probes
 //     (rounded up, floor 1s);
 //   - 429 (session limit) advertises a flat 5s — capacity frees when
-//     some client closes a session, which we cannot predict;
-//   - any other 503 (a passivation race lost twice) advertises 1s — the
-//     next attempt's reactivation almost always wins.
+//     some client closes a session, which we cannot predict.
 func (sv *server) setRetryAfter(w http.ResponseWriter, status int, err error) {
 	switch {
 	case errors.Is(err, serve.ErrJournalUnhealthy):
@@ -425,26 +388,28 @@ func (sv *server) setRetryAfter(w http.ResponseWriter, status int, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	case status == http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", "5")
-	case status == http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", "1")
 	}
 }
 
-// stepStatus maps NextBatch/Observe errors to HTTP statuses: lifecycle
-// ordering violations are conflicts, closed sessions are gone, a
-// passivation lost twice in a row is a transient 503 (the handler
-// already retried through the manager once), anything else (bad node
-// ids, policy failure) is a bad request.
+// stepStatus maps lookup and NextBatch/Observe errors to HTTP statuses:
+// an id not in the table is the caller's 404; a session that exists but
+// could not be restored from its journal (damaged on disk, environment
+// drift) is a server-side 500 the operator must see, never a 404 that
+// tells the client its campaign is gone; lifecycle ordering violations
+// are conflicts, closed sessions are gone, anything else (bad node ids,
+// policy failure) is a bad request.
 func stepStatus(err error) int {
 	switch {
+	case errors.Is(err, serve.ErrUnknownSession):
+		return http.StatusNotFound
+	case errors.Is(err, serve.ErrRestoreFailed):
+		return http.StatusInternalServerError
 	case errors.Is(err, serve.ErrBatchPending),
 		errors.Is(err, serve.ErrNoBatchPending),
 		errors.Is(err, serve.ErrDone):
 		return http.StatusConflict
 	case errors.Is(err, serve.ErrClosed):
 		return http.StatusGone
-	case errors.Is(err, serve.ErrPassivated):
-		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}

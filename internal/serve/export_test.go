@@ -142,3 +142,15 @@ func (m *Manager) AuditCheckpoints(recs []journal.Record) (int, error) {
 	}
 	return audited, nil
 }
+
+// Register adds a session built with NewSession to m's table under id,
+// the way Create registers the sessions it builds.
+func Register(m *Manager, s *Session, id string) {
+	s.mu.Lock()
+	s.id, s.mgr = id, m
+	s.publishLocked()
+	s.mu.Unlock()
+	m.mu.Lock()
+	m.sessions[id] = s
+	m.mu.Unlock()
+}

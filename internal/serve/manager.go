@@ -127,9 +127,9 @@ const DefaultBreakerCooldown = 15 * time.Second
 
 // ErrUnknownSession is returned by Session, Close and Passivate for ids
 // not in the table (never created, or deleted). Front ends use it to
-// separate the caller's 404 from server-side failures: a reactivation
-// that fails (damaged journal, replay divergence) is NOT this error —
-// the session still exists, the server just could not revive it.
+// separate the caller's 404 from server-side failures: a restore that
+// fails (ErrRestoreFailed) is NOT this error — the session still exists,
+// the server just could not revive it.
 var ErrUnknownSession = errors.New("serve: unknown session")
 
 // Manager owns the session table of a serving process: it resolves
@@ -139,9 +139,8 @@ var ErrUnknownSession = errors.New("serve: unknown session")
 // table after a crash with Recover. With an idle TTL (WithIdleTTL) it
 // additionally passivates idle durable sessions — their engine and mRR
 // pool are released while the journal keeps their state, checkpointed on
-// the way out — and transparently reactivates them on the next Session
-// lookup by restoring that checkpoint. All methods are safe for
-// concurrent use.
+// the way out — and restores each in place, from that checkpoint, on its
+// next lookup or step. All methods are safe for concurrent use.
 type Manager struct {
 	reg *Registry
 
@@ -173,14 +172,6 @@ type Manager struct {
 	ckptEvery int
 	compact   bool
 	graphSigs map[*graph.Graph]uint64 // guarded by mu
-
-	// reactMu guards reactInflight: one replay per session id at a time
-	// (concurrent lookups of one passivated session wait for the winner
-	// instead of racing duplicate replays), while reactivations of
-	// DIFFERENT sessions run concurrently — replays are expensive, and a
-	// process-wide serial replay queue would stall unrelated requests.
-	reactMu       sync.Mutex
-	reactInflight map[string]chan struct{}
 
 	idleTTL   time.Duration
 	sweepStop chan struct{}
@@ -229,13 +220,14 @@ func WithJournalDir(dir string) ManagerOption {
 // pool while the write-ahead journal keeps their state on disk. With
 // checkpointing on, each passivation first checkpoints the session (a
 // pending batch included), and a sweep that released pool memory ends
-// with a garbage collection so the process footprint follows. The next
-// Session lookup reactivates a passivated session transparently by
-// restoring that checkpoint (replaying its log when there is none) —
-// the reactivated session proposes byte-identical batches to an
-// uninterrupted one. Sessions without a journal are never passivated
-// (there would be nothing to reactivate from); ttl <= 0 leaves
-// passivation off. CloseAll stops the sweep.
+// with a garbage collection so the process footprint follows. The
+// session stays in the table, and the same *Session stays valid: its
+// next lookup, NextBatch/Propose or Observe restores it in place from
+// that checkpoint (replaying its log when there is none), and it
+// proposes byte-identical batches to an uninterrupted one. Sessions
+// without a journal are never passivated (there would be nothing to
+// restore from); ttl <= 0 leaves passivation off. CloseAll stops the
+// sweep.
 func WithIdleTTL(ttl time.Duration) ManagerOption {
 	return func(m *Manager) { m.idleTTL = ttl }
 }
@@ -342,8 +334,7 @@ func (m *Manager) admitDurable() error {
 // the number of concurrently open sessions (0 = unlimited).
 func NewManager(reg *Registry, limit int, opts ...ManagerOption) *Manager {
 	m := &Manager{reg: reg, sessions: map[string]*Session{}, limit: limit,
-		reactInflight: map[string]chan struct{}{},
-		ckptEvery:     DefaultCheckpointEvery, compact: true,
+		ckptEvery: DefaultCheckpointEvery, compact: true,
 		breakerCooldown: DefaultBreakerCooldown}
 	for _, opt := range opts {
 		opt(m)
@@ -405,10 +396,7 @@ func (m *Manager) passivateIdle(ttl time.Duration) (n int, released int64) {
 			continue
 		}
 		// passivate re-checks idleness under the session lock, so a client
-		// call racing the sweep keeps its session live. Counter updates
-		// happen inside passivate (still under the session lock), so the
-		// passivated gauge is already up when a reactivation becomes able
-		// to decrement it.
+		// call racing the sweep keeps its session live.
 		//asm:errclass-ok a failed checkpoint append already went to the session's durability policy (Status.LastFailure, the poisoned counter); the sweep moves on
 		if ok, b, _ := s.passivate(now, ttl); ok {
 			n++
@@ -501,6 +489,7 @@ func (m *Manager) Create(cfg Config) (*Session, error) {
 			return nil, err
 		}
 	}
+	s.publish()
 	m.mu.Lock()
 	m.creating--
 	m.sessions[s.id] = s
@@ -582,11 +571,10 @@ func journalCreate(st *journal.Store, s *Session, cfg Config) error {
 		_ = st.Remove(s.id)
 		return err
 	}
-	s.attachJournal(w, st)
 	// Seed the history digest chain with the created record; every later
 	// append folds itself in (checkpoints pin their log position with it).
 	s.mu.Lock()
-	s.histDigest = journal.DigestFrame(0, frame)
+	s.jw, s.store, s.histDigest = w, st, journal.DigestFrame(0, frame)
 	s.mu.Unlock()
 	return nil
 }
@@ -651,12 +639,15 @@ func parseModelName(name string) (diffusion.Model, error) {
 	}
 }
 
-// Session returns the open session with the given id, reactivating it
-// first if an idle sweep passivated it (from the checkpoint passivation
-// wrote, or by replaying the log through the deterministic engine; either
-// way the reactivated session proposes byte-identical batches to one
-// that was never passivated). The lookup counts as activity: it
-// refreshes the session's idle clock.
+// Session returns the open session with the given id — the *Session
+// Create or Recover registered, across any number of passivations —
+// restoring it in place first if an idle sweep passivated it (from the
+// checkpoint passivation wrote, or by replaying the log through the
+// deterministic engine; either way it proposes byte-identical batches to
+// a session that was never passivated). Concurrent lookups of one
+// passivated session wait on its lock for a single restore; a live
+// session's lookup takes no session lock. The lookup counts as activity:
+// it refreshes the session's idle clock.
 func (m *Manager) Session(id string) (*Session, error) {
 	m.mu.Lock()
 	s, ok := m.sessions[id]
@@ -664,127 +655,16 @@ func (m *Manager) Session(id string) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
 	}
-	if !s.passivated() {
-		s.touch()
+	s.touch()
+	if s.status.Load().Phase != PhasePassivated.String() {
 		return s, nil
 	}
-	return m.reactivate(id)
-}
-
-// reactivate rebuilds a passivated session from its journal and swaps
-// the live session into the table. Concurrent reactivations of one id
-// share a single replay — losers wait on the winner's in-flight channel
-// and then find the live session on re-check — while distinct ids
-// replay concurrently. The passivated stub is left behind for stale
-// pointers: their calls keep returning ErrPassivated and a fresh
-// Manager.Session lookup hands out the live object.
-func (m *Manager) reactivate(id string) (*Session, error) {
-	for {
-		m.reactMu.Lock()
-		inflight, busy := m.reactInflight[id]
-		if !busy {
-			done := make(chan struct{})
-			m.reactInflight[id] = done
-			m.reactMu.Unlock()
-			s, err := m.replayPassivated(id)
-			m.reactMu.Lock()
-			delete(m.reactInflight, id)
-			close(done)
-			m.reactMu.Unlock()
-			return s, err
-		}
-		m.reactMu.Unlock()
-		<-inflight
-		// The winner finished: usually the session is live now. If its
-		// replay failed (or a sweep re-passivated already), loop and try
-		// the replay ourselves.
-		m.mu.Lock()
-		s, ok := m.sessions[id]
-		m.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
-		}
-		if !s.passivated() {
-			s.touch()
-			return s, nil
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.publishLocked()
+	if err := s.restoreLocked(); err != nil {
+		return nil, err
 	}
-}
-
-// replayPassivated performs one reactivation replay for id; callers
-// must hold the id's reactInflight slot (see reactivate).
-func (m *Manager) replayPassivated(id string) (*Session, error) {
-	m.mu.Lock()
-	old, ok := m.sessions[id]
-	st := m.journal
-	m.mu.Unlock()
-	if !ok {
-		// Closed while we waited for the reactivation slot.
-		return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
-	}
-	if !old.passivated() {
-		// Another caller reactivated it first (or it was never passivated).
-		old.touch()
-		return old, nil
-	}
-	if st == nil {
-		// Unreachable (only journaled sessions passivate), but never nil-deref.
-		return nil, fmt.Errorf("serve: session %q passivated without a journal", id)
-	}
-	recs, tailErr, err := st.Load(id)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reactivate %s: %w", id, err)
-	}
-	if tailErr != nil {
-		// The log was intact when the session passivated; a torn or corrupt
-		// tail now means the disk lost bytes under us. Resuming from the
-		// shorter prefix would silently roll back acknowledged transitions,
-		// so reactivation refuses (crash recovery, where losing the record
-		// being appended is expected, stays lenient — see Recover).
-		return nil, fmt.Errorf("serve: reactivate %s: journal damaged while passivated: %w", id, tailErr)
-	}
-	s, _, fromCkpt, err := m.rebuild(recs, nil)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reactivate %s: %w", id, err)
-	}
-	if fromCkpt {
-		m.add(CheckpointRestores, 1)
-	}
-	res, err := st.Resume(id)
-	if err != nil {
-		s.release()
-		return nil, fmt.Errorf("serve: reactivate %s: %w", id, err)
-	}
-	if len(res.Records) != len(recs) {
-		res.Writer.Close()
-		s.release()
-		return nil, fmt.Errorf("serve: reactivate %s: journal changed during reactivation", id)
-	}
-	s.id = id
-	s.passivations = old.passivations
-	s.attachJournal(res.Writer, st)
-	// Claim the episode's gauge count before touching the table (the flag
-	// is guarded by the session lock, which must not nest inside m.mu),
-	// and settle it whether or not the swap below happens: a concurrent
-	// Close that finds the flag consumed skips its own decrement.
-	if old.consumePassiveCount() {
-		m.add(Passivated, -1)
-	}
-	m.mu.Lock()
-	cur, ok := m.sessions[id]
-	if ok && cur == old {
-		m.sessions[id] = s
-	}
-	m.mu.Unlock()
-	if !ok || cur != old {
-		// A concurrent Close deleted the session (and its log) while we
-		// replayed: inserting the rebuilt session would resurrect a
-		// deliberately closed campaign. Discard it.
-		res.Writer.Close()
-		s.release()
-		return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
-	}
-	m.add(Reactivations, 1)
 	return s, nil
 }
 
@@ -802,9 +682,9 @@ func (m *Manager) Close(id string) error {
 		return fmt.Errorf("%w %q", ErrUnknownSession, id)
 	}
 	// Session.Close handles the passivated case itself (closed record via
-	// a reopened log, gauge decrement) — decided under the session lock,
-	// so a sweep parking the session between our table delete and this
-	// call cannot skip it.
+	// a reopened log, gauge decrement) under the session lock, so a sweep
+	// parking the session between our table delete and this call cannot
+	// skip it.
 	s.Close()
 	if st != nil {
 		// Best effort: the closed record is already committed, so a log
@@ -832,13 +712,13 @@ func (m *Manager) CloseAll() {
 	}
 	m.sessions = map[string]*Session{}
 	m.mu.Unlock()
-	m.counters[Passivated].Store(0)
 	for _, s := range sessions {
 		s.release()
 	}
 }
 
 // List returns a status snapshot of every open session, sorted by id.
+// It reads the statuses sessions publish, so it never waits on a session.
 func (m *Manager) List() []Status {
 	sessions := m.table()
 	out := make([]Status, len(sessions))

@@ -103,9 +103,10 @@ func (m *Manager) Snapshot() Metrics {
 }
 
 // Metrics is Snapshot plus the gauges that need the session table: the
-// phase census, DegradedNow, PoolBytes and JournalBytes. It takes every
-// session lock in turn (like List), so poll it at scrape cadence, not
-// per request.
+// phase census, DegradedNow, PoolBytes and JournalBytes. It reads the
+// statuses sessions publish (like List), so it never waits on a session;
+// it stats every journal file, so poll it at scrape cadence, not per
+// request.
 func (m *Manager) Metrics() Metrics {
 	mt := m.Snapshot()
 	m.mu.Lock()
@@ -115,7 +116,7 @@ func (m *Manager) Metrics() Metrics {
 	mt.Sessions = len(sessions) // the census sums to the sessions it walked
 	mt.Phases = map[string]int{}
 	for _, s := range sessions {
-		stt := s.Status()
+		stt := s.status.Load()
 		mt.Phases[stt.Phase]++
 		if stt.Degraded {
 			mt.DegradedNow++

@@ -29,8 +29,8 @@ type modelSession struct {
 	eta    int
 	closed bool
 	// handle is what a call through the driver's session pointer returns
-	// before any phase check: nil while it points at the live session,
-	// else ErrPassivated or ErrClosed.
+	// before any phase check: nil while it points at the session, else
+	// ErrClosed. Passivation never invalidates it.
 	handle error
 	// The newest checkpoint: the committed rounds it covers, whether it
 	// carries a pending batch, and whether the log holds one at all.
@@ -79,12 +79,14 @@ func (m *model) create(dataset string, eta int) (string, error) {
 
 func (m *model) next(id string) error {
 	ms := m.s[id]
-	switch {
-	case ms.handle != nil:
+	if ms.handle != nil {
 		return ms.handle
-	case ms.phase == "done":
+	}
+	m.restore(ms)
+	switch ms.phase {
+	case "done":
 		return serve.ErrDone
-	case ms.phase == "observe":
+	case "observe":
 		return serve.ErrBatchPending
 	}
 	ms.round++
@@ -98,6 +100,7 @@ func (m *model) observe(id string) error {
 	if ms.handle != nil {
 		return ms.handle
 	}
+	m.restore(ms)
 	if ms.phase != "observe" {
 		return serve.ErrNoBatchPending
 	}
@@ -125,15 +128,22 @@ func (m *model) lookup(id string) error {
 		return serve.ErrUnknownSession
 	}
 	ms.handle = nil
-	if ms.phase == "passivated" {
-		ms.phase = ms.parked
-		m.c[serve.Reactivations]++
-		m.c[serve.Passivated]--
-		if ms.hasCkpt {
-			m.c[serve.CheckpointRestores]++
-		}
-	}
+	m.restore(ms)
 	return nil
+}
+
+// restore brings a passivated session back in the phase it was parked in,
+// from its checkpoint if the log holds one.
+func (m *model) restore(ms *modelSession) {
+	if ms.phase != "passivated" {
+		return
+	}
+	ms.phase = ms.parked
+	m.c[serve.Reactivations]++
+	m.c[serve.Passivated]--
+	if ms.hasCkpt {
+		m.c[serve.CheckpointRestores]++
+	}
 }
 
 func (m *model) passivate(id string) (bool, error) {
@@ -148,9 +158,6 @@ func (m *model) passivate(id string) (bool, error) {
 		m.checkpoint(ms)
 	}
 	ms.parked, ms.phase = ms.phase, "passivated"
-	if ms.handle == nil {
-		ms.handle = serve.ErrPassivated
-	}
 	m.c[serve.Passivations]++
 	m.c[serve.Passivated]++
 	return true, nil
@@ -239,8 +246,8 @@ func TestLifecycleModel(t *testing.T) {
 	}
 	for _, want := range []string{
 		"create", "next", "observe", "lookup", "passivate", "close", "restart",
-		"reactivate", "restore", serve.ErrUnknownDataset.Error(), serve.ErrTooManySessions.Error(),
-		serve.ErrUnknownSession.Error(), serve.ErrClosed.Error(), serve.ErrPassivated.Error(),
+		"reactivate", "restore", "step restore", serve.ErrUnknownDataset.Error(), serve.ErrTooManySessions.Error(),
+		serve.ErrUnknownSession.Error(), serve.ErrClosed.Error(),
 		serve.ErrDone.Error(), serve.ErrBatchPending.Error(), serve.ErrNoBatchPending.Error(),
 	} {
 		if !seen[want] {
@@ -287,7 +294,7 @@ func runLifecycleModel(t *testing.T, seed uint64, ops int, seen map[string]bool)
 	for i := 0; i < ops; i++ {
 		var op string
 		var got, want error
-		restores := ref.c[serve.CheckpointRestores]
+		restores, reactivations := ref.c[serve.CheckpointRestores], ref.c[serve.Reactivations]
 		switch k := r.Intn(100); {
 		case k < 14:
 			dataset, eta := "tiny", 1+r.Intn(4)
@@ -328,9 +335,13 @@ func runLifecycleModel(t *testing.T, seed uint64, ops int, seen map[string]bool)
 			if ref.s[id] != nil && !ref.s[id].closed && ref.s[id].phase == "passivated" {
 				op = "reactivate"
 			}
+			same := ref.s[id] != nil && ref.s[id].handle == nil
 			want = ref.lookup(id)
 			var s *serve.Session
 			if s, got = mgr.Session(id); got == nil {
+				if same && s != handles[id] {
+					t.Fatalf("op %d: lookup of %s returned another *Session than the driver holds", i, id)
+				}
 				handles[id] = s
 			}
 		case k < 91:
@@ -367,6 +378,9 @@ func runLifecycleModel(t *testing.T, seed uint64, ops int, seen map[string]bool)
 		}
 		if ref.c[serve.CheckpointRestores] > restores && op != "restart" {
 			seen["restore"] = true
+		}
+		if ref.c[serve.Reactivations] > reactivations && (op == "next" || op == "observe") {
+			seen["step restore"] = true
 		}
 		checkModel(t, i, op, mgr, ref)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"asti/internal/adaptive"
 	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/rng"
@@ -63,21 +64,19 @@ func TestPassivateReactivateEquivalence(t *testing.T) {
 				if ok, err := mgr.Passivate(id); err != nil || !ok {
 					t.Fatalf("Passivate: ok=%v err=%v", ok, err)
 				}
-				// The stale pointer is dead; the manager lookup is not.
-				if _, err := s1.NextBatch(); !errors.Is(err, serve.ErrPassivated) {
-					t.Fatalf("NextBatch on passivated object: %v, want ErrPassivated", err)
-				}
 				if st := s1.Status(); st.Phase != "passivated" || st.PoolBytes != 0 ||
 					st.Passivations != 1 || !st.Durable || st.Round != 2 {
 					t.Fatalf("passivated status %+v", st)
 				}
 
+				// One object per campaign: the lookup restores the session
+				// Create returned, in place.
 				s2, err := mgr.Session(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s2 == s1 {
-					t.Fatal("manager returned the passivated stub")
+				if s2 != s1 {
+					t.Fatal("lookup returned another *Session than Create")
 				}
 				st := s2.Status()
 				if st.Phase != "propose" || st.Round != 2 || !st.Durable || st.Passivations != 1 {
@@ -141,11 +140,11 @@ func TestReactivationRestoresCheckpoint(t *testing.T) {
 // manager's own idle sweeper — and restarts the manager once, before the
 // observation of the middle round, while the session is parked. Each
 // step runs on the session a lookup reactivated, which must not have
-// re-run any selection (its selection clock reads zero) and must be in
-// the phase the step expects. Every reactivation after the first
-// proposal, and the recovery, must be a checkpoint restore; before it
-// the session has nothing to checkpoint and reactivates from its created
-// record.
+// re-run any selection (the restore leaves its selection clock
+// unchanged) and must be in the phase the step expects. Every
+// reactivation after the first proposal, and the recovery, must be a
+// checkpoint restore; before it the session has nothing to checkpoint
+// and reactivates from its created record.
 func restoreOnlyCampaign(t *testing.T, cfg serve.Config, φ *diffusion.Realization, idleTTL time.Duration) {
 	n := int(φ.Graph().N())
 	ref := serve.NewManager(testRegistry(t), 0)
@@ -186,31 +185,28 @@ func restoreOnlyCampaign(t *testing.T, cfg serve.Config, φ *diffusion.Realizati
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// step parks the session, reacquires it and runs op on the live
-	// object, again if the sweeper parks it between lookup and call.
+	// step parks the session, looks it up and runs op on it (which
+	// restores it again if the sweeper parked it after the lookup).
 	step := func(phase string, op func() error) {
 		t.Helper()
 		for {
+			clock := s.Status().SelectSeconds
 			park()
-			live, err := mgr.Session(id)
-			if err != nil {
+			if _, err := mgr.Session(id); err != nil {
 				t.Fatal(err)
 			}
-			s = live
 			st := s.Status()
 			if st.Phase == "passivated" {
 				continue // the sweeper was quicker than this check
 			}
-			if st.Phase != phase || st.SelectSeconds != 0 {
-				t.Fatalf("reactivated at round %d in phase %s having run %.3fs of selection; want phase %s and none",
-					st.Round, st.Phase, st.SelectSeconds, phase)
+			if st.Phase != phase || st.SelectSeconds != clock {
+				t.Fatalf("reactivated at round %d in phase %s with the selection clock at %.4fs; want phase %s and the clock unchanged from %.4fs",
+					st.Round, st.Phase, st.SelectSeconds, phase, clock)
 			}
-			if err := op(); !errors.Is(err, serve.ErrPassivated) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				return
+			if err := op(); err != nil {
+				t.Fatal(err)
 			}
+			return
 		}
 	}
 	// restores checks one manager's accounting: every reactivation but
@@ -297,22 +293,152 @@ func TestPassivatePendingBatch(t *testing.T) {
 	if ok, err := mgr.Passivate(id); err != nil || !ok {
 		t.Fatalf("Passivate: ok=%v err=%v", ok, err)
 	}
-	// The stale pointer rejects the observation without losing it…
-	if _, err := s1.Observe(nil); !errors.Is(err, serve.ErrPassivated) {
-		t.Fatalf("Observe on passivated object: %v, want ErrPassivated", err)
+	if st := s1.Status(); st.Phase != "passivated" || fmt.Sprint(st.Pending) != fmt.Sprint(batch) {
+		t.Fatalf("passivated status %+v, want pending %v", st, batch)
 	}
-	// …and the reactivated session still accepts it.
-	s2, err := mgr.Session(id)
+	// The observation through the original pointer restores the session,
+	// back in the observe phase with the identical pending batch.
+	newly := φ.Spread(batch, mirror)
+	prog, err := s1.Observe(newly)
+	if err != nil {
+		t.Fatalf("Observe after passivation: %v", err)
+	}
+	if prog.Round != 2 || mgr.Snapshot().Counters[serve.Reactivations] != 1 {
+		t.Fatalf("progress %+v after %d reactivations, want round 2 after one", prog, mgr.Snapshot().Counters[serve.Reactivations])
+	}
+	if rounds := s1.Result().Rounds; fmt.Sprint(rounds[len(rounds)-1].Seeds) != fmt.Sprint(batch) {
+		t.Fatalf("observed round committed %v, want the pending batch %v", rounds[len(rounds)-1].Seeds, batch)
+	}
+}
+
+// TestCloseAfterPassivationIsFinal pins one object per campaign from the
+// closing side: Close on the pointer Create returned, after a passivation
+// and a lookup, closes the campaign the lookup returned — it answers
+// ErrClosed, and a restart finds the log closed, not recoverable.
+func TestCloseAfterPassivationIsFinal(t *testing.T) {
+	dir := t.TempDir()
+	mgr := serve.NewManager(testRegistry(t), 0, serve.WithJournalDir(dir))
+	defer mgr.CloseAll()
+	s, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.2, Seed: 21, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s2.Status()
-	if st.Phase != "observe" || fmt.Sprint(st.Pending) != fmt.Sprint(batch) {
-		t.Fatalf("reactivated status %+v, want pending %v", st, batch)
+	if ok, err := mgr.Passivate(s.ID()); err != nil || !ok {
+		t.Fatalf("Passivate: ok=%v err=%v", ok, err)
 	}
-	newly := φ.Spread(batch, mirror)
-	if _, err := s2.Observe(newly); err != nil {
-		t.Fatalf("Observe after reactivation: %v", err)
+	looked, err := mgr.Session(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if _, err := looked.NextBatch(); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("NextBatch on the looked-up session after Close: %v, want ErrClosed", err)
+	}
+	mgr2 := serve.NewManager(testRegistry(t), 0, serve.WithJournalDir(dir))
+	defer mgr2.CloseAll()
+	rep, err := mgr2.Recover("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Closed != 1 || rep.Recovered != 0 {
+		t.Errorf("report %+v, want the closed campaign closed, not recovered", rep)
+	}
+}
+
+// TestSelectSecondsSurvivesPassivation: the selection clock belongs to
+// the campaign, so a passivation and the restore behind the next lookup
+// leave it where it was.
+func TestSelectSecondsSurvivesPassivation(t *testing.T) {
+	g := testGraph(t)
+	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(99))
+	mgr := serve.NewManager(testRegistry(t), 0, serve.WithJournalDir(t.TempDir()))
+	defer mgr.CloseAll()
+	s, err := mgr.Create(serve.Config{Dataset: "test", EtaFrac: 0.1, Epsilon: 0.5, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done := driveRounds(t, s, φ, bitset.New(int(g.N())), 3); done {
+		t.Fatal("campaign finished before the passivation point")
+	}
+	before := s.Status().SelectSeconds
+	if before <= 0 {
+		t.Fatalf("selection clock reads %v after 3 rounds", before)
+	}
+	if ok, err := mgr.Passivate(s.ID()); err != nil || !ok {
+		t.Fatalf("Passivate: ok=%v err=%v", ok, err)
+	}
+	looked, err := mgr.Session(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := looked.Status().SelectSeconds; after != before {
+		t.Errorf("select seconds %v after passivation and lookup, want %v", after, before)
+	}
+}
+
+// blockingPolicy proposes the first inactive node, but only once release
+// is closed; entered receives a value when SelectBatch starts waiting.
+type blockingPolicy struct {
+	entered, release chan struct{}
+}
+
+func (p *blockingPolicy) Name() string { return "blocking" }
+
+func (p *blockingPolicy) SelectBatch(st *adaptive.State) ([]int32, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	return []int32{st.Inactive[0]}, nil
+}
+
+// TestMonitoringNeverWaitsOnSelection: while a session's policy is stuck
+// inside SelectBatch, every monitoring read — the manager's Metrics, List
+// and Snapshot, the lookup, and the session's own Status — still answers
+// promptly from the status the session published.
+func TestMonitoringNeverWaitsOnSelection(t *testing.T) {
+	g := testGraph(t)
+	p := &blockingPolicy{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s, err := serve.NewSession(g, diffusion.IC, 10, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := serve.NewManager(testRegistry(t), 0)
+	defer mgr.CloseAll()
+	serve.Register(mgr, s, "s1")
+
+	proposed := make(chan error, 1)
+	go func() {
+		_, err := s.Propose()
+		proposed <- err
+	}()
+	<-p.entered
+	probes := []struct {
+		name string
+		call func()
+	}{
+		{"Metrics", func() { mgr.Metrics() }},
+		{"List", func() { mgr.List() }},
+		{"Snapshot", func() { mgr.Snapshot() }},
+		{"Session", func() { _, _ = mgr.Session("s1") }},
+		{"Status", func() { s.Status() }},
+	}
+	for _, probe := range probes {
+		done := make(chan struct{})
+		go func() {
+			probe.call()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(300 * time.Millisecond):
+			t.Errorf("%s still waiting on the selection after 300ms", probe.name)
+		}
+	}
+	close(p.release)
+	if err := <-proposed; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(); st.Round != 1 || st.Phase != "observe" {
+		t.Errorf("status after the step %+v, want round 1 in phase observe", st)
 	}
 }
 
@@ -485,9 +611,10 @@ func TestIdleSweepPassivates(t *testing.T) {
 }
 
 // TestPassivateSweepRace races an aggressive passivation sweep against a
-// client stepping its session through the manager (re-fetching on
-// ErrPassivated, as cmd/asmserve does): under -race this must be clean,
-// and the campaign must still propose the reference batch sequence.
+// client stepping its session through the manager, as cmd/asmserve does:
+// under -race this must be clean, every step must succeed (a step on a
+// parked session restores it), and the campaign must still propose the
+// reference batch sequence.
 func TestPassivateSweepRace(t *testing.T) {
 	g := testGraph(t)
 	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(23))
@@ -555,9 +682,6 @@ func TestPassivateSweepRace(t *testing.T) {
 		}
 		if pending == nil {
 			batch, err := cur.NextBatch()
-			if errors.Is(err, serve.ErrPassivated) {
-				continue // passivated between lookup and call; re-fetch
-			}
 			if err != nil {
 				t.Fatalf("NextBatch: %v", err)
 			}
@@ -566,9 +690,6 @@ func TestPassivateSweepRace(t *testing.T) {
 		}
 		newly := φ.Spread(pending, mirror)
 		prog, err := cur.Observe(newly)
-		if errors.Is(err, serve.ErrPassivated) {
-			continue // the pending batch is journaled; retry through the manager
-		}
 		if err != nil {
 			t.Fatalf("Observe: %v", err)
 		}
@@ -635,9 +756,9 @@ func TestPassivatedCloseCommitsClosedRecord(t *testing.T) {
 }
 
 // TestCloseRacingReactivation pins the other resurrection guard: a
-// DELETE racing the journal replay of a reactivation must win — after
-// both finish, the session is gone from the table and from disk, never
-// re-inserted by the late replay.
+// DELETE racing the restore behind a lookup must win — after both
+// finish, the session is gone from the table and from disk, and a
+// restore that lost the race left no log behind.
 func TestCloseRacingReactivation(t *testing.T) {
 	dir := t.TempDir()
 	mgr := serve.NewManager(testRegistry(t), 0, serve.WithJournalDir(dir))
@@ -680,10 +801,10 @@ func TestCloseRacingReactivation(t *testing.T) {
 }
 
 // TestReactivateDamagedJournal pins the failure mapping: a passivated
-// session whose log rots on disk must fail reactivation with a non-
-// ErrUnknownSession error (the front end's 500, not 404 — the campaign
-// exists, the server just cannot revive it), and the stub must stay in
-// the table for inspection.
+// session whose log rots on disk must fail its restore — from a lookup or
+// a step — with ErrRestoreFailed, never ErrUnknownSession (the front
+// end's 500, not 404 — the campaign exists, the server just cannot
+// revive it), and must stay in the table, passivated, for inspection.
 func TestReactivateDamagedJournal(t *testing.T) {
 	g := testGraph(t)
 	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(42))
@@ -713,15 +834,18 @@ func TestReactivateDamagedJournal(t *testing.T) {
 	if err == nil {
 		t.Fatal("reactivation from a damaged journal succeeded")
 	}
-	if errors.Is(err, serve.ErrUnknownSession) {
-		t.Errorf("damaged-journal reactivation reported unknown session: %v", err)
+	if errors.Is(err, serve.ErrUnknownSession) || !errors.Is(err, serve.ErrRestoreFailed) {
+		t.Errorf("damaged-journal reactivation: %v, want ErrRestoreFailed", err)
+	}
+	if _, err := s.NextBatch(); !errors.Is(err, serve.ErrRestoreFailed) {
+		t.Errorf("step on the damaged passivated session: %v, want ErrRestoreFailed", err)
 	}
 	// Unknown ids still classify as unknown.
 	if _, err := mgr.Session("s999"); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Errorf("unknown id: %v, want ErrUnknownSession", err)
 	}
-	// The stub survives for List/metrics; it is not silently dropped.
-	if st := mgr.Snapshot(); st.Sessions != 1 || st.Counters[serve.Passivated] != 1 {
+	// The session survives for List/metrics; it is not silently dropped.
+	if st := mgr.Snapshot(); st.Sessions != 1 || st.Counters[serve.Passivated] != 1 || s.Status().Phase != "passivated" {
 		t.Errorf("stats after failed reactivation %+v", st)
 	}
 }

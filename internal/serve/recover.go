@@ -135,28 +135,12 @@ func (m *Manager) recoverOne(st *journal.Store, id string, rep *RecoveryReport) 
 			return
 		}
 	}
-	s, rounds, fromCkpt, err := m.rebuild(recs, warnf)
+	s, rounds, fromCkpt, err := m.resume(st, id, recs, warnf)
 	if err != nil {
 		skip("%v", err)
 		return
 	}
-	// The session is good: now truncate the damaged tail (if any) and
-	// reopen the log for appending.
-	res, err := st.Resume(id)
-	if err != nil {
-		s.release()
-		skip("reopen: %v", err)
-		return
-	}
-	if len(res.Records) != len(recs) {
-		// The directory changed under us between Load and Resume.
-		res.Writer.Close()
-		s.release()
-		skip("log changed during recovery")
-		return
-	}
-	s.id = id
-	s.attachJournal(res.Writer, st)
+	s.publish()
 	m.mu.Lock()
 	m.sessions[id] = s
 	m.mu.Unlock()
@@ -164,18 +148,44 @@ func (m *Manager) recoverOne(st *journal.Store, id string, rep *RecoveryReport) 
 	rep.Rounds += rounds
 	if fromCkpt {
 		rep.CheckpointRestores++
+	}
+}
+
+// resume is the restore path recovery and reactivation share: it
+// rebuilds the session logged under id from recs (see rebuild) and, once
+// that succeeded, truncates the log's damaged tail (if any) and reopens
+// it for appending. The session comes back unregistered.
+func (m *Manager) resume(st *journal.Store, id string, recs []journal.Record, warnf func(string, ...any)) (*Session, int, bool, error) {
+	s, rounds, fromCkpt, err := m.rebuild(recs, warnf)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	res, err := st.Resume(id)
+	if err != nil {
+		s.release()
+		return nil, 0, false, fmt.Errorf("reopen: %w", err)
+	}
+	if len(res.Records) != len(recs) {
+		// The directory changed under us between Load and Resume.
+		res.Writer.Close()
+		s.release()
+		return nil, 0, false, errors.New("log changed during restore")
+	}
+	s.id, s.jw, s.store = id, res.Writer, st
+	if fromCkpt {
 		m.add(CheckpointRestores, 1)
 	}
+	return s, rounds, fromCkpt, nil
 }
 
 // rebuild constructs a fresh session from a log's records — the created
 // record resolves to a Config exactly as Create saw it, then the
 // journaled history is replayed through the deterministic engine — and
 // returns it with the number of rounds replayed and whether a trusted
-// checkpoint shortcut the replay. It is the shared core of crash
-// recovery (recoverOne) and idle reactivation (Manager.reactivate); the
-// session comes back unjournaled and unregistered, with any partially
-// built state released on failure.
+// checkpoint shortcut the replay. It is the core of resume, which crash
+// recovery and the restore of a passivated session share; the session
+// comes back unjournaled and unregistered, with any partially built state
+// released on failure.
 //
 // When the log carries a trusted checkpoint (digest chain intact,
 // environment pins match), rebuild restores the snapshot and replays

@@ -54,12 +54,12 @@
 // and residual-graph state — the dominant per-session memory — are
 // released while the log on disk remains the authoritative state. With
 // checkpointing on (the default), passivation first writes a checkpoint
-// of the session's state, a batch awaiting its observation included, so
-// the next Manager.Session lookup reactivates the session transparently
-// by restoring that snapshot: no past selection is re-run. Without a
-// usable checkpoint it replays the log instead, and either way the
-// determinism contract makes the reactivated session propose
-// byte-identical batches:
+// of the session's state, a batch awaiting its observation included. The
+// session stays in the manager's table as the same *Session, and its next
+// lookup, NextBatch or Observe restores it in place from that snapshot:
+// no past selection is re-run. Without a usable checkpoint it replays the
+// log instead, and either way the determinism contract makes the restored
+// session propose byte-identical batches:
 //
 //	mgr := serve.NewManager(reg, 0,
 //	    serve.WithJournalDir("wal"), serve.WithIdleTTL(30*time.Minute))

@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asti/internal/adaptive"
@@ -27,11 +29,10 @@ const (
 	PhaseDone
 	// PhaseClosed means Close was called; the session accepts no calls.
 	PhaseClosed
-	// PhasePassivated means an idle sweep released the session's engine
-	// and pool; its state lives in the journal. The manager reactivates
-	// the session transparently on the next Manager.Session lookup —
-	// only stale pointers to the passivated object observe this phase
-	// (their calls return ErrPassivated).
+	// PhasePassivated means an idle sweep released the session's engine,
+	// pool and residual state; its state lives in the journal. The next
+	// Manager.Session lookup, NextBatch/Propose or Observe restores the
+	// session in place, so any pointer to it stays valid.
 	PhasePassivated
 )
 
@@ -66,11 +67,11 @@ var (
 	// ErrNoBatchPending is returned by Observe when no batch awaits
 	// observation (observe-before-next, double-observe).
 	ErrNoBatchPending = errors.New("serve: no batch pending observation")
-	// ErrPassivated is returned by NextBatch/Propose and Observe on a
-	// session object an idle sweep passivated after the caller looked it
-	// up. The session itself is fine — re-fetching it from its manager
-	// (Manager.Session) reactivates it and returns a live object.
-	ErrPassivated = errors.New("serve: session passivated (reacquire it from its manager)")
+	// ErrRestoreFailed wraps the failure to restore a passivated session
+	// from its journal (damaged log, replay divergence, environment
+	// drift), from a lookup or a step. The session still exists and stays
+	// passivated; the server could not revive it.
+	ErrRestoreFailed = errors.New("serve: cannot restore passivated session")
 )
 
 // Session is one live adaptive-seeding campaign: the residual-graph state
@@ -80,9 +81,9 @@ var (
 // session is done once at least η nodes are active.
 //
 // A Session is safe for concurrent use; calls are serialized internally
-// (on a journaled session this includes the commit fsync, so a Status
-// snapshot may briefly wait behind an in-flight transition — the price
-// of a strictly ordered log). Given the same dataset, policy and seed,
+// (on a journaled session this includes the commit fsync). Status never
+// waits for them: every call that changes the session publishes a
+// snapshot before it returns. Given the same dataset, policy and seed,
 // the proposed batches are a deterministic function of the observation
 // sequence.
 type Session struct {
@@ -94,44 +95,27 @@ type Session struct {
 	g          *graph.Graph
 	model      diffusion.Model
 	eta        int64
-	policy     adaptive.Policy
-	src        *rng.Source
 	jw         *journal.Writer // nil for in-memory sessions (and during replay)
-	store      *journal.Store  // set with jw; lets a passivated close reopen its log
+	store      *journal.Store  // set with jw; lets a passivated session reopen its log
 	mgr        *Manager        // owning manager (nil for NewSession-built sessions)
 	replaying  bool            // true while recovery/reactivation re-executes the log (suppresses the manager's load counters)
 
-	phase    Phase
-	round    int
-	active   *bitset.Set
-	inactive []int32
-	delta    []int32 // nodes the last observation removed from inactive
-	pending  []int32
-	seeds    []int32
-	rounds   []adaptive.RoundTrace
+	campaign
 
-	created    time.Time
-	touched    time.Time // last client-visible call (Propose/Observe/manager lookup)
+	// status is the snapshot the last change published, read without
+	// s.mu; touched is the last client call (Propose/Observe/manager
+	// lookup) in Unix nanoseconds.
+	status     atomic.Pointer[Status]
+	touched    atomic.Int64
 	selectTime time.Duration
 
 	// Checkpointing (journaled sessions only). ckptEvery is the manager's
 	// interval in committed rounds (0 = off); compactOn arms log
-	// truncation past each written checkpoint. histDigest chains CRC32-C
-	// over every record payload appended to (or recovered from) the log —
-	// the position pin a checkpoint stores so loaders can tell it belongs
-	// to exactly this history. ckpts and lastCkptRound mirror the newest
-	// checkpoint for Status, and ckptPending records whether it carried a
-	// pending batch; graphSig pins the dataset's structure. restoredPool
-	// is the pool digest of the checkpoint the session was restored from,
-	// which its own snapshots report until the policy regenerates a pool.
-	ckptEvery     int
-	compactOn     bool
-	graphSig      uint64
-	histDigest    uint32
-	ckpts         int
-	lastCkptRound int
-	ckptPending   bool
-	restoredPool  uint64
+	// truncation past each written checkpoint; graphSig pins the
+	// dataset's structure.
+	ckptEvery int
+	compactOn bool
+	graphSig  uint64
 
 	// Resilience state. durability decides what a final journal failure
 	// does (copied from the manager at build time); degraded means the
@@ -145,16 +129,39 @@ type Session struct {
 	degradeReason string
 	lastFailure   string
 
-	// Passivation bookkeeping: how many times an idle sweep released this
-	// campaign's resources (carried across reactivations by the manager),
-	// and — on a passivated object — the status snapshot taken when the
-	// resources were released. passiveCounted means this object holds the
-	// manager's passivated-gauge count for the current episode; exactly
-	// one path (reactivation swap, or a close) may consume it, so the
-	// gauge can neither leak nor go negative whichever wins the race.
-	passivations   int
-	passiveStatus  *Status
-	passiveCounted bool
+	// passivations counts how many times an idle sweep released this
+	// campaign's resources.
+	passivations int
+}
+
+// campaign is the state Algorithm 1's loop derives from the session's
+// observation history: the policy and its randomness, the loop position,
+// the residual graph and the committed rounds. Passivation releases it;
+// a restore adopts the campaign of a session rebuilt from the journal.
+type campaign struct {
+	policy   adaptive.Policy
+	src      *rng.Source
+	phase    Phase
+	round    int
+	active   *bitset.Set
+	inactive []int32
+	delta    []int32 // nodes the last observation removed from inactive
+	pending  []int32
+	seeds    []int32
+	rounds   []adaptive.RoundTrace
+
+	// histDigest chains CRC32-C over every record payload appended to (or
+	// recovered from) the log — the position pin a checkpoint stores so
+	// loaders can tell it belongs to exactly this history. ckpts and
+	// lastCkptRound mirror the newest checkpoint for Status, and
+	// ckptPending records whether it carried a pending batch. restoredPool
+	// is the pool digest of the checkpoint the session was restored from,
+	// which its own snapshots report until the policy regenerates a pool.
+	histDigest    uint32
+	ckpts         int
+	lastCkptRound int
+	ckptPending   bool
+	restoredPool  uint64
 }
 
 // NewSession returns a session for one campaign on g: reach eta active
@@ -180,18 +187,15 @@ func NewSession(g *graph.Graph, model diffusion.Model, eta int64, policy adaptiv
 	for i := range inactive {
 		inactive[i] = int32(i)
 	}
-	now := time.Now()
-	return &Session{
-		g:        g,
-		model:    model,
-		eta:      eta,
+	s := &Session{g: g, model: model, eta: eta, campaign: campaign{
 		policy:   policy,
 		src:      rng.New(seed),
 		active:   bitset.New(n),
 		inactive: inactive,
-		created:  now,
-		touched:  now,
-	}, nil
+	}}
+	s.touch()
+	s.publishLocked()
+	return s, nil
 }
 
 // ID returns the manager-assigned session id ("" for sessions built
@@ -223,12 +227,14 @@ func (s *Session) NextBatch() ([]int32, error) {
 func (s *Session) Propose() (Proposal, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.touched = time.Now()
+	defer s.publishLocked()
+	s.touch()
+	if err := s.restoreLocked(); err != nil {
+		return Proposal{}, err
+	}
 	switch s.phase {
 	case PhaseClosed:
 		return Proposal{}, ErrClosed
-	case PhasePassivated:
-		return Proposal{}, ErrPassivated
 	case PhaseDone:
 		return Proposal{}, ErrDone
 	case PhaseObserve:
@@ -307,12 +313,14 @@ type Progress struct {
 func (s *Session) Observe(activated []int32) (Progress, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.touched = time.Now()
+	defer s.publishLocked()
+	s.touch()
+	if err := s.restoreLocked(); err != nil {
+		return Progress{}, err
+	}
 	switch s.phase {
 	case PhaseClosed:
 		return Progress{}, ErrClosed
-	case PhasePassivated:
-		return Progress{}, ErrPassivated
 	case PhasePropose, PhaseDone:
 		return Progress{}, ErrNoBatchPending
 	}
@@ -409,7 +417,7 @@ type Status struct {
 	// config resolved to).
 	SamplerVersion int
 	// Phase is the loop position ("propose", "observe", "done",
-	// "closed").
+	// "closed", "passivated").
 	Phase string
 	// Round counts NextBatch proposals so far.
 	Round int
@@ -461,26 +469,39 @@ type Status struct {
 	// IdleSeconds is the time since the session was last touched by a
 	// client call (proposal, observation, or manager lookup).
 	IdleSeconds float64
-	// SelectSeconds is the cumulative policy-side selection time.
-	// Replayed rounds re-run selection, so after a recovery this restarts
-	// near the pre-crash value but is not byte-identical to it.
+	// SelectSeconds is the cumulative policy-side selection time. It is
+	// kept across passivation; a restart's recovery re-measures it (replayed
+	// rounds re-run selection, so it restarts near the pre-crash value but
+	// is not byte-identical to it).
 	SelectSeconds float64
 }
 
-// Status returns a snapshot of the session.
+// Status returns a snapshot of the session: the one its last change
+// published, with the idle clock read now. It never waits on a call in
+// flight.
 func (s *Session) Status() Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statusLocked()
+	st := *s.status.Load()
+	st.Pending = slices.Clone(st.Pending)
+	st.IdleSeconds = s.idleFor(time.Now()).Seconds()
+	return st
 }
 
-// statusLocked builds the Status snapshot; callers hold s.mu. For a
-// passivated session it serves the snapshot taken at passivation time
-// (the live state is on disk), with the idle clock still running.
+// publishLocked stores the session's Status for readers that take no
+// lock; every call that changes the session publishes before it releases
+// s.mu. Callers hold s.mu.
+func (s *Session) publishLocked() {
+	st := s.statusLocked()
+	s.status.Store(&st)
+}
+
+// statusLocked builds the Status snapshot, less IdleSeconds; callers hold
+// s.mu. A released campaign (a passivated session, or one closed while
+// passivated) keeps the figures published before its release. Pending
+// shares the batch, which is never modified in place.
 func (s *Session) statusLocked() Status {
-	if s.passiveStatus != nil {
-		st := *s.passiveStatus
-		st.IdleSeconds = time.Since(s.touched).Seconds()
+	if s.policy == nil {
+		st := *s.status.Load()
+		st.Phase, st.Passivations, st.LastFailure, st.PoolBytes = s.phase.String(), s.passivations, s.lastFailure, 0
 		return st
 	}
 	st := Status{
@@ -504,11 +525,8 @@ func (s *Session) statusLocked() Status {
 		Checkpoints:         s.ckpts,
 		LastCheckpointRound: s.lastCkptRound,
 		PoolBytes:           s.poolBytesLocked(),
-		IdleSeconds:         time.Since(s.touched).Seconds(),
 		SelectSeconds:       s.selectTime.Seconds(),
-	}
-	if s.pending != nil {
-		st.Pending = append([]int32(nil), s.pending...)
+		Pending:             s.pending,
 	}
 	st.EtaI = s.eta - st.Activated
 	if st.EtaI < 0 {
@@ -528,28 +546,20 @@ func (s *Session) poolBytesLocked() int64 {
 
 // Result converts a finished session into the adaptive.Result shape the
 // batch evaluators report, so served campaigns and offline runs can be
-// compared with the same tooling. On a passivated session object the
-// per-round traces live in the journal, so Result reports the snapshot
-// totals with nil Seeds/Rounds — reacquire the session from its manager
-// first for the full trace.
+// compared with the same tooling. On a passivated session the per-round
+// traces live in the journal, so Result reports the totals with nil
+// Seeds/Rounds — look the session up through its manager first (which
+// restores it) for the full trace.
 func (s *Session) Result() *adaptive.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.passiveStatus != nil {
-		return &adaptive.Result{
-			Policy:     s.passiveStatus.Policy,
-			Spread:     s.passiveStatus.Activated,
-			ReachedEta: s.passiveStatus.Done,
-			Duration:   s.selectTime,
-		}
-	}
-	spread := s.activatedLocked()
+	st := s.statusLocked()
 	return &adaptive.Result{
-		Policy:     s.policy.Name(),
-		Seeds:      append([]int32(nil), s.seeds...),
-		Rounds:     append([]adaptive.RoundTrace(nil), s.rounds...),
-		Spread:     spread,
-		ReachedEta: spread >= s.eta,
+		Policy:     st.Policy,
+		Seeds:      slices.Clone(s.seeds),
+		Rounds:     slices.Clone(s.rounds),
+		Spread:     st.Activated,
+		ReachedEta: st.Activated >= s.eta,
 		Duration:   s.selectTime,
 	}
 }
@@ -575,23 +585,30 @@ func (s *Session) release() {
 }
 
 // closeSession implements Close/release; mark journals the closed
-// record. It reports whether the session was passivated when the close
-// landed — decided under s.mu, so a close racing the idle sweep learns
-// the truth (the manager must then commit the closed record itself: a
-// passivated session has no writer to append it to).
-func (s *Session) closeSession(mark bool) (wasPassivated bool) {
+// record.
+func (s *Session) closeSession(mark bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.phase == PhaseClosed {
-		return false
+		return
 	}
-	wasPassivated = s.phase == PhasePassivated
+	if s.phase == PhasePassivated {
+		s.mgr.add(Passivated, -1)
+		if mark {
+			// A passivated session has no writer: reopen the log for the
+			// closed record, or a lost unlink would resurrect a deliberately
+			// closed campaign on the next Recover. (Shutdown leaves the log
+			// recoverable.)
+			if res, err := s.store.Resume(s.id); err == nil {
+				s.jw = res.Writer
+			} else {
+				// Still best effort — recovery recognizes the unmarked log —
+				// but the failure stays observable in Status.
+				s.lastFailure = err.Error()
+			}
+		}
+	}
 	s.phase = PhaseClosed
-	if s.passiveStatus != nil {
-		// A passivated stub keeps serving its frozen snapshot; closing it
-		// must at least stop advertising the session as reactivatable.
-		s.passiveStatus.Phase = PhaseClosed.String()
-	}
 	s.pending = nil
 	if s.jw != nil {
 		var cerr error
@@ -607,48 +624,10 @@ func (s *Session) closeSession(mark bool) (wasPassivated bool) {
 		}
 		s.jw = nil
 	}
-	if wasPassivated && s.passiveCounted {
-		// This close ends the passivation episode (no reactivation consumed
-		// it first — the flag decides the race exactly once, under s.mu).
-		s.passiveCounted = false
-		if mark {
-			// A passivated session has no live writer, so the closed-record
-			// append above was skipped: reopen the log and commit one, or a
-			// lost unlink would resurrect a deliberately closed campaign on
-			// the next Recover. (mark=false is shutdown — the log must stay
-			// recoverable, and CloseAll resets the gauge itself.)
-			if s.store != nil && s.id != "" {
-				rerr := func() error {
-					res, err := s.store.Resume(s.id)
-					if err != nil {
-						return err
-					}
-					return errors.Join(res.Writer.Append(journal.TypeClosed, nil), res.Writer.Close())
-				}()
-				if rerr != nil {
-					// Still best effort — recovery recognizes the unmarked log —
-					// but the failure stays observable in Status.
-					s.lastFailure = rerr.Error()
-				}
-			}
-			s.mgr.add(Passivated, -1)
-		}
-	}
 	if c, ok := s.policy.(interface{ Close() }); ok {
 		c.Close()
 	}
-	return wasPassivated
-}
-
-// consumePassiveCount atomically claims the session's passivated-gauge
-// count for the caller (the reactivation swap); it reports false if a
-// concurrent close claimed it first.
-func (s *Session) consumePassiveCount() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.passiveCounted
-	s.passiveCounted = false
-	return c
+	s.publishLocked()
 }
 
 // commitFrameLocked appends one write-ahead frame with the session's
@@ -762,99 +741,102 @@ func (s *Session) failLocked(err error) error {
 
 // passivate releases the session's live resources — policy engine, mRR
 // pool, journal writer, residual-graph state — while its journal stays
-// on disk, and freezes a status snapshot for List/metrics. Any durable
-// (journaled) session qualifies, a pending batch included; closed,
-// already-passivated, or in-memory sessions are left alone, as are
-// sessions touched less than minIdle before now (the idleness re-check
-// runs under s.mu, so a client call that slips in between the sweep's
-// candidate scan and this lock keeps its session live; minIdle 0
-// forces).
+// on disk; the session stays in its manager's table, showing the figures
+// it had live. Any durable (journaled) session qualifies, a pending batch
+// included; closed, already-passivated, or in-memory sessions are left
+// alone, as are sessions touched less than minIdle before now (the
+// idleness re-check runs under s.mu, so a client call that slips in
+// between the sweep's candidate scan and this lock keeps its session
+// live; minIdle 0 forces).
 //
 // With checkpointing on, the session first checkpoints its state unless
-// the newest checkpoint already covers it, so reactivation (the
-// manager's job) restores the snapshot instead of re-running the
-// selections since the last interval checkpoint. That write goes through
-// the session's durability policy like any append: if it fails, the
-// session is poisoned (fail-stop) or keeps serving without a journal
-// (degrade) — either way it is not passivated, and err carries a
-// fail-stop failure. It reports whether the session was passivated and
-// the pool bytes that released; stale pointers to this object get
-// ErrPassivated.
+// the newest checkpoint already covers it, so a restore brings the
+// snapshot back instead of re-running the selections since the last
+// interval checkpoint. That write goes through the session's durability
+// policy like any append: if it fails, the session is poisoned
+// (fail-stop) or keeps serving without a journal (degrade) — either way
+// it is not passivated, and err carries a fail-stop failure. It reports
+// whether the session was passivated and the pool bytes that released.
+// The passivated gauge moves here and where the session leaves the
+// phase (restoreLocked, closeSession), always under s.mu.
 func (s *Session) passivate(now time.Time, minIdle time.Duration) (ok bool, released int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.phase == PhaseClosed || s.phase == PhasePassivated || s.jw == nil {
 		return false, 0, nil
 	}
-	if minIdle > 0 && now.Sub(s.touched) < minIdle {
+	if minIdle > 0 && s.idleFor(now) < minIdle {
 		return false, 0, nil
 	}
+	defer s.publishLocked()
 	if s.ckptEvery > 0 && !s.checkpointCurrentLocked() {
 		if err := s.checkpointLocked(); err != nil || s.jw == nil {
 			return false, 0, err
 		}
 	}
 	released = s.poolBytesLocked()
-	snap := s.statusLocked()
-	snap.Phase = PhasePassivated.String()
-	snap.Passivations++
-	snap.PoolBytes = 0
-	s.passiveStatus = &snap
+	s.publishLocked() // the figures the released campaign keeps showing
 	s.passivations++
-	s.phase = PhasePassivated
-	// Count the episode in the manager's gauge before releasing s.mu: a
-	// reactivation can only observe PhasePassivated (and later decrement)
-	// after this lock drops, so the gauge never dips negative.
-	s.passiveCounted = true
 	s.mgr.add(Passivations, 1)
 	s.mgr.add(Passivated, 1)
 	// No closed record: the log must stay replayable. Everything the
-	// session holds beyond the snapshot is reconstructed from it.
-	//asm:errclass-ok every committed frame is already fsynced, and the frozen snapshot Status cannot carry a late close error
+	// campaign holds is reconstructed from it.
+	//asm:errclass-ok every committed frame is already fsynced, and a close error on a writer the session is dropping changes nothing it can report
 	_ = s.jw.Close()
 	s.jw = nil
-	s.active = nil
-	s.inactive = nil
-	s.delta = nil
-	s.pending = nil
-	s.seeds = nil
-	s.rounds = nil
 	if c, ok := s.policy.(interface{ Close() }); ok {
 		c.Close()
 	}
+	s.campaign = campaign{phase: PhasePassivated}
 	return true, released, nil
 }
 
-// passivated reports whether the session is currently passivated.
-func (s *Session) passivated() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.phase == PhasePassivated
+// restoreLocked brings a passivated session back in place (a no-op for
+// any other phase): the recovery path rebuilds the campaign from the
+// journal into a fresh session — restoring the checkpoint passivation
+// wrote, or replaying the log without one — and this session adopts that
+// campaign and the fresh writer at the log's end. The selection clock is
+// kept: nothing the restore re-runs is the client's selection. On failure
+// the session stays passivated. Callers hold s.mu.
+func (s *Session) restoreLocked() error {
+	if s.phase != PhasePassivated {
+		return nil
+	}
+	recs, tailErr, err := s.store.Load(s.id)
+	if err == nil && tailErr != nil {
+		// The log was intact when the session passivated; a torn or corrupt
+		// tail now means the disk lost bytes under it. Resuming from the
+		// shorter prefix would silently roll back acknowledged transitions,
+		// so the restore refuses (crash recovery, where losing the record
+		// being appended is expected, stays lenient — see Recover).
+		err = fmt.Errorf("journal damaged while passivated: %w", tailErr)
+	}
+	var fresh *Session
+	if err == nil {
+		fresh, _, _, err = s.mgr.resume(s.store, s.id, recs, nil)
+	}
+	if err != nil {
+		return fmt.Errorf("%w %s: %w", ErrRestoreFailed, s.id, err)
+	}
+	s.campaign, s.jw = fresh.campaign, fresh.jw
+	s.mgr.add(Reactivations, 1)
+	s.mgr.add(Passivated, -1)
+	return nil
 }
 
 // touch refreshes the idle clock (manager lookups count as activity).
-func (s *Session) touch() {
-	s.mu.Lock()
-	s.touched = time.Now()
-	s.mu.Unlock()
-}
+func (s *Session) touch() { s.touched.Store(time.Now().UnixNano()) }
 
 // idleFor returns how long the session has been untouched.
 func (s *Session) idleFor(now time.Time) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return now.Sub(s.touched)
+	return now.Sub(time.Unix(0, s.touched.Load()))
 }
 
-// attachJournal arms write-ahead logging (used by the Manager after the
-// created record is committed, and after a successful replay). The
-// store is remembered so a close landing on a passivated session — whose
-// writer is gone — can reopen the log for its closed record.
-func (s *Session) attachJournal(w *journal.Writer, st *journal.Store) {
+// publish is publishLocked taking the session lock.
+func (s *Session) publish() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jw = w
-	s.store = st
+	s.publishLocked()
 }
 
 // activatedLocked returns the active-node count; callers hold s.mu.

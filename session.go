@@ -117,11 +117,12 @@ func WithJournalDir(dir string) SessionManagerOption {
 // A background sweep checkpoints, then releases the engine, sampling
 // pool, and residual-graph state of any session no client call has
 // touched for ttl — the dominant per-session memory — while its
-// write-ahead log keeps the state on disk. The next
-// SessionManager.Session lookup reactivates the session transparently
-// by restoring that checkpoint (replaying the log when checkpointing is
-// off); by the serve determinism contract the reactivated session
-// proposes byte-identical batches to one that was never passivated:
+// write-ahead log keeps the state on disk. The session stays in the
+// manager and its *Session stays valid: the next SessionManager.Session
+// lookup, NextBatch or Observe restores it in place from that
+// checkpoint (replaying the log when checkpointing is off); by the
+// serve determinism contract the restored session proposes
+// byte-identical batches to one that was never passivated:
 //
 //	mgr := asti.NewSessionManager(reg, 0,
 //	    asti.WithJournalDir("wal"), asti.WithIdleTTL(30*time.Minute))
