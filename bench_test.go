@@ -126,7 +126,7 @@ func BenchmarkMRRGenerationIC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MRR(20, inactive, nil, r, nil)
+		s.MRRStable(20, inactive, nil, r, nil)
 	}
 }
 
@@ -141,7 +141,7 @@ func BenchmarkMRRGenerationLT(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MRR(20, inactive, nil, r, nil)
+		s.MRRStable(20, inactive, nil, r, nil)
 	}
 }
 

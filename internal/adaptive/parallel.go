@@ -11,12 +11,13 @@ import (
 )
 
 // EvaluateParallel is Evaluate with the per-world runs spread across
-// `workers` goroutines. Results are bit-identical to Evaluate with the
-// same seed: each world w derives both its realization seed and its
-// policy seed from SplitMix64 of (seed, w), independent of scheduling, so
-// parallel and sequential evaluation agree and two policies evaluated in
-// parallel with equal seeds still see equal worlds (the paper's paired
-// protocol). Selection-time measurements are per-goroutine wall times;
+// `workers` goroutines. Each world w derives both its realization seed
+// and its policy seed from SplitMix64 of (seed, w), independent of
+// scheduling, so results are identical for every worker count, and two
+// policies evaluated here with equal seeds see equal worlds (the paper's
+// paired protocol). The worlds differ from Evaluate's, which splits one
+// stream from seed: pair policies within one evaluator, not across the
+// two. Selection-time measurements are per-goroutine wall times;
 // under contention they run slightly hotter than sequential ones.
 //
 // workers ≤ 0 selects GOMAXPROCS. The factory must return a FRESH policy

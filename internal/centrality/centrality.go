@@ -272,8 +272,8 @@ func KCore(g *graph.Graph) ([]int32, error) {
 		for _, u := range g.OutNeighbors(v) {
 			decr(u)
 		}
-		for _, u := range g.InNeighbors(v) {
-			decr(u)
+		for _, e := range g.InEdges(v) {
+			decr(e.Src)
 		}
 	}
 	return core, nil

@@ -241,9 +241,9 @@ func bruteKCore(g *graph.Graph) []int32 {
 							deg[u]--
 						}
 					}
-					for _, u := range g.InNeighbors(int32(v)) {
-						if alive[u] {
-							deg[u]--
+					for _, e := range g.InEdges(int32(v)) {
+						if alive[e.Src] {
+							deg[e.Src]--
 						}
 					}
 				}

@@ -56,8 +56,8 @@ func ValidateLT(g *graph.Graph) error {
 	const tol = 1e-6
 	for v := int32(0); v < g.N(); v++ {
 		var sum float64
-		for _, p := range g.InProbs(v) {
-			sum += float64(p)
+		for _, e := range g.InEdges(v) {
+			sum += float64(e.P)
 		}
 		if sum > 1+tol {
 			return fmt.Errorf("diffusion: LT weights into node %d sum to %v > 1", v, sum)
@@ -111,14 +111,14 @@ func SampleRealization(g *graph.Graph, model Model, r *rng.Source) *Realization 
 // probability p_i, none with probability 1-Σp_i. Returns the local index
 // or -1.
 func sampleChosenIn(g *graph.Graph, v int32, r *rng.Source) int32 {
-	probs := g.InProbs(v)
-	if len(probs) == 0 {
+	in := g.InEdges(v)
+	if len(in) == 0 {
 		return -1
 	}
 	x := r.Float64()
 	var acc float64
-	for i, p := range probs {
-		acc += float64(p)
+	for i, e := range in {
+		acc += float64(e.P)
 		if x < acc {
 			return int32(i)
 		}
@@ -148,7 +148,7 @@ func (φ *Realization) edgeLive(u int32, i int, v int32) bool {
 		return φ.liveOut.Get(int32(φ.g.OutOffset(u) + int64(i)))
 	default: // LT
 		ci := φ.chosenIn[v]
-		return ci >= 0 && φ.g.InNeighbors(v)[ci] == u
+		return ci >= 0 && φ.g.InEdges(v)[ci].Src == u
 	}
 }
 

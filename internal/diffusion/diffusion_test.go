@@ -197,7 +197,7 @@ func TestLTSingleParentInvariant(t *testing.T) {
 		if ci < 0 {
 			continue
 		}
-		if int(ci) >= len(g.InNeighbors(v)) {
+		if int(ci) >= len(g.InEdges(v)) {
 			t.Fatalf("node %d chose out-of-range in-edge %d", v, ci)
 		}
 	}

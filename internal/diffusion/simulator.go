@@ -133,11 +133,9 @@ func (s *Simulator) contactLT(u, v int32, r *rng.Source) bool {
 // our workloads are modest and each (u,v) pair is queried at most once per
 // run, so a scan beats maintaining an extra index.
 func (s *Simulator) edgeProbInto(u, v int32) float64 {
-	in := s.g.InNeighbors(v)
-	probs := s.g.InProbs(v)
-	for i, w := range in {
-		if w == u {
-			return float64(probs[i])
+	for _, e := range s.g.InEdges(v) {
+		if e.Src == u {
+			return float64(e.P)
 		}
 	}
 	return 0

@@ -196,7 +196,7 @@ func ExactLT(g *graph.Graph, seeds []int32, fn func(spread int) float64) (float6
 					continue
 				}
 				ci := choice[w]
-				if ci >= 0 && g.InNeighbors(w)[ci] == u {
+				if ci >= 0 && g.InEdges(w)[ci].Src == u {
 					visited[w] = true
 					queue = append(queue, w)
 					count++
@@ -213,12 +213,11 @@ func ExactLT(g *graph.Graph, seeds []int32, fn func(spread int) float64) (float6
 			evaluate(p)
 			return
 		}
-		probs := g.InProbs(v)
 		rem := 1.0
-		for i := range probs {
+		for i, e := range g.InEdges(v) {
 			choice[v] = int32(i)
-			rem -= float64(probs[i])
-			recurse(v+1, p*float64(probs[i]))
+			rem -= float64(e.P)
+			recurse(v+1, p*float64(e.P))
 		}
 		choice[v] = -1
 		if rem < 0 {

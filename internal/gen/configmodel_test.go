@@ -135,9 +135,9 @@ func TestConfigModelEndToEnd(t *testing.T) {
 	// Weighted-cascade probabilities: in-probs of each node are 1/indeg.
 	for v := int32(0); v < g.N(); v++ {
 		ind := g.InDegree(v)
-		for _, p := range g.InProbs(v) {
-			if math.Abs(float64(p)-1/float64(ind)) > 1e-6 {
-				t.Fatalf("node %d in-prob %v, want %v", v, p, 1/float64(ind))
+		for _, e := range g.InEdges(v) {
+			if math.Abs(float64(e.P)-1/float64(ind)) > 1e-6 {
+				t.Fatalf("node %d in-prob %v, want %v", v, e.P, 1/float64(ind))
 			}
 		}
 	}

@@ -109,19 +109,16 @@ func (b *Builder) Build(name string, directed bool) (*Graph, error) {
 	for i := int32(0); i < b.n; i++ {
 		g.inOff[i+1] += g.inOff[i]
 	}
-	g.inAdj = make([]int32, g.m)
-	g.inProb = make([]float32, g.m)
+	g.inEdge = make([]InEdge, g.m)
 	cursor := make([]int64, b.n)
 	for u := int32(0); u < b.n; u++ {
 		for i := g.outOff[u]; i < g.outOff[u+1]; i++ {
 			v := g.outAdj[i]
 			slot := g.inOff[v] + cursor[v]
 			cursor[v]++
-			g.inAdj[slot] = u
-			g.inProb[slot] = g.outProb[i]
+			g.inEdge[slot] = InEdge{Src: u, P: g.outProb[i]}
 		}
 	}
-	g.finalizeInEdges()
 	return g, nil
 }
 

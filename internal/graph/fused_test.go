@@ -6,40 +6,42 @@ import (
 	"asti/internal/rng"
 )
 
-// checkFused asserts the fused in-edge stream is byte-identical to the
-// split (InNeighbors, InProbs) views and that the uniform flags match a
-// direct scan of the probabilities.
-func checkFused(t *testing.T, g *Graph, label string) {
+// checkInMirrorsOut asserts the in-adjacency is exactly the out-adjacency
+// reversed, probabilities included: InEdges(v) lists every ⟨u,v⟩ in
+// ascending u with the out copy's p(u,v), and nothing else.
+func checkInMirrorsOut(t *testing.T, g *Graph, label string) {
 	t.Helper()
+	want := make([][]InEdge, g.N())
+	for u := int32(0); u < g.N(); u++ {
+		probs := g.OutProbs(u)
+		for i, v := range g.OutNeighbors(u) {
+			want[v] = append(want[v], InEdge{Src: u, P: probs[i]})
+		}
+	}
+	var total int64
 	for v := int32(0); v < g.N(); v++ {
-		ins := g.InNeighbors(v)
-		probs := g.InProbs(v)
-		fused := g.InEdges(v)
-		if len(fused) != len(ins) {
-			t.Fatalf("%s: node %d: fused degree %d, split degree %d", label, v, len(fused), len(ins))
+		got := g.InEdges(v)
+		total += int64(len(got))
+		if len(got) != len(want[v]) || int(g.InDegree(v)) != len(got) {
+			t.Fatalf("%s: node %d: in-degree %d (InDegree %d), reversed out-degree %d",
+				label, v, len(got), g.InDegree(v), len(want[v]))
 		}
-		uniform := true
-		for i, e := range fused {
-			if e.Src != ins[i] || e.P != probs[i] {
-				t.Fatalf("%s: node %d edge %d: fused {%d,%v}, split {%d,%v}",
-					label, v, i, e.Src, e.P, ins[i], probs[i])
-			}
-			if probs[i] != probs[0] {
-				uniform = false
+		for i, e := range got {
+			if e != want[v][i] {
+				t.Fatalf("%s: node %d edge %d: in {%d,%v}, reversed out {%d,%v}",
+					label, v, i, e.Src, e.P, want[v][i].Src, want[v][i].P)
 			}
 		}
-		if g.InUniform(v) != uniform {
-			t.Fatalf("%s: node %d: InUniform=%v, scan says %v (probs %v)",
-				label, v, g.InUniform(v), uniform, probs)
-		}
+	}
+	if total != g.M() {
+		t.Fatalf("%s: %d in-edges, M() = %d", label, total, g.M())
 	}
 }
 
-// TestFusedLayoutMatchesSplitArrays is the property test over randomized
-// graphs: after Build and after every probability mutator, the fused
-// layout must agree element-for-element with the split arrays and the
-// uniform flags with a direct scan.
-func TestFusedLayoutMatchesSplitArrays(t *testing.T) {
+// TestInAdjacencyMirrorsOut is the property test over randomized graphs:
+// after Build and after every probability mutator, the in-adjacency must
+// equal the out-adjacency reversed, element for element.
+func TestInAdjacencyMirrorsOut(t *testing.T) {
 	r := rng.New(0xF05ED)
 	for trial := 0; trial < 25; trial++ {
 		n := int32(2 + r.Intn(40))
@@ -51,8 +53,8 @@ func TestFusedLayoutMatchesSplitArrays(t *testing.T) {
 			if u == v {
 				continue
 			}
-			// Mix uniform and non-uniform probabilities so both flag
-			// polarities occur.
+			// Mix uniform and non-uniform probabilities so both block
+			// shapes occur.
 			p := 0.3
 			if r.Bernoulli(0.5) {
 				p = 0.05 + 0.9*r.Float64()
@@ -63,27 +65,17 @@ func TestFusedLayoutMatchesSplitArrays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFused(t, g, "build")
+		checkInMirrorsOut(t, g, "build")
 
 		g.ApplyWeightedCascade()
-		checkFused(t, g, "weighted-cascade")
-		for v := int32(0); v < g.N(); v++ {
-			if g.InDegree(v) > 0 && !g.InUniform(v) {
-				t.Fatalf("weighted cascade: node %d block not uniform", v)
-			}
-		}
+		checkInMirrorsOut(t, g, "weighted-cascade")
 
 		if err := g.ApplyUniformProb(0.1); err != nil {
 			t.Fatal(err)
 		}
-		checkFused(t, g, "uniform")
-		for v := int32(0); v < g.N(); v++ {
-			if !g.InUniform(v) {
-				t.Fatalf("uniform prob: node %d block not uniform", v)
-			}
-		}
+		checkInMirrorsOut(t, g, "uniform")
 
 		g.ApplyTrivalency(uint64(trial))
-		checkFused(t, g, "trivalency")
+		checkInMirrorsOut(t, g, "trivalency")
 	}
 }

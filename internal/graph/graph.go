@@ -4,18 +4,16 @@
 // A Graph is an immutable directed graph in compressed sparse row (CSR)
 // form, with both out-adjacency (for forward influence simulation) and
 // in-adjacency (for reverse-reachable-set sampling). Each directed edge
-// ⟨u,v⟩ carries a propagation probability p(u,v) ∈ (0,1], stored aligned
-// with both adjacency layouts.
+// ⟨u,v⟩ carries a propagation probability p(u,v) ∈ (0,1], stored once in
+// each layout: beside the target in the out-CSR, and inside the 8-byte
+// InEdge record in the in-CSR.
 //
 // Undirected inputs are materialized as two directed edges, matching the
 // paper's protocol ("an undirected edge is transformed into two directed
 // edges", §6.1); Directed() records the source convention for reporting.
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Graph is an immutable directed probabilistic graph in CSR form.
 // Construct with a Builder or one of the generators in internal/gen.
@@ -30,29 +28,16 @@ type Graph struct {
 	outAdj  []int32
 	outProb []float32
 
+	// In-adjacency: inEdge[inOff[v]:inOff[v+1]] is v's in-block, each
+	// record packing the source endpoint and p(u,v) into 8 bytes, so the
+	// sampler's reverse BFS walks a single sequential stream.
 	inOff  []int64
-	inAdj  []int32
-	inProb []float32
-
-	// Fused in-adjacency: inEdge[i] interleaves inAdj[i] and inProb[i]
-	// into one 8-byte record, so the sampler's reverse BFS walks a single
-	// sequential stream instead of two parallel arrays. inUniform[v]
-	// records whether every in-edge of v carries the same probability
-	// (the §6.1 uniform/weighted-cascade settings), which is what enables
-	// the sampler's geometric edge-coin skipping; inCoinThr[v] and
-	// inLnq[v] precompute that block's coin threshold and ln(1−p) so the
-	// sampler pays neither a float compare per edge nor a log per jump.
-	// All are derived views, rebuilt by finalizeInEdges after every
-	// probability mutation.
-	inEdge    []InEdge
-	inUniform []bool
-	inCoinThr []uint64
-	inLnq     []float64
+	inEdge []InEdge
 }
 
-// InEdge is one incoming edge in the fused in-adjacency layout: source
-// endpoint and propagation probability packed into a single 8-byte
-// record (one cache-line stream for the sampling hot loop).
+// InEdge is one incoming edge: source endpoint and propagation
+// probability packed into a single 8-byte record (one cache-line stream
+// for the sampling hot loop).
 type InEdge struct {
 	Src int32
 	P   float32
@@ -93,99 +78,18 @@ func (g *Graph) OutProbs(u int32) []float32 {
 	return g.outProb[g.outOff[u]:g.outOff[u+1]]
 }
 
-// InNeighbors returns the sources of v's incoming edges. The returned
+// InEdges returns v's incoming edges as {Src, P} records. The returned
 // slice aliases internal storage and must not be modified.
-func (g *Graph) InNeighbors(v int32) []int32 {
-	return g.inAdj[g.inOff[v]:g.inOff[v+1]]
-}
-
-// InProbs returns the probabilities aligned with InNeighbors(v).
-func (g *Graph) InProbs(v int32) []float32 {
-	return g.inProb[g.inOff[v]:g.inOff[v+1]]
-}
-
-// InEdges returns v's incoming edges in the fused {Src, P} layout,
-// aligned with InNeighbors/InProbs (InEdges(v)[i].Src == InNeighbors(v)[i]
-// and InEdges(v)[i].P == InProbs(v)[i]). The returned slice aliases
-// internal storage and must not be modified.
 func (g *Graph) InEdges(v int32) []InEdge {
 	return g.inEdge[g.inOff[v]:g.inOff[v+1]]
 }
 
-// FusedIn exposes the whole fused in-adjacency layout at once:
-// off[v]..off[v+1] bounds node v's InEdge block in edges. Sampling
-// kernels hold these two headers directly so the per-node block lookup
-// costs two offset loads, with no detour through the Graph struct.
+// FusedIn exposes the whole in-adjacency at once: off[v]..off[v+1]
+// bounds node v's InEdge block in edges. Sampling kernels hold these two
+// headers directly so the per-node block lookup costs two offset loads,
+// with no detour through the Graph struct.
 // Both slices alias internal storage and must not be modified.
 func (g *Graph) FusedIn() (off []int64, edges []InEdge) { return g.inOff, g.inEdge }
-
-// InUniform reports whether every incoming edge of v carries the same
-// probability (vacuously true for in-degree ≤ 1). Uniform blocks are
-// the common case under the paper's §6.1 conventions — a global uniform
-// p, or weighted cascade where p(u,v) = 1/indeg(v) is constant within
-// each block — and let the sampler replace per-edge coins with
-// geometric skipping.
-func (g *Graph) InUniform(v int32) bool { return g.inUniform[v] }
-
-// InCoinThr returns the integer Bernoulli threshold of v's uniform
-// in-block: a coin drawn as k = Uint64()>>11 accepts the edge iff
-// k < InCoinThr(v), which decides exactly as Float64() < p does (the
-// mantissa k determines Float64() = k·2⁻⁵³, and the threshold is
-// ⌈p·2⁵³⌉), while costing an integer compare instead of an int→float
-// conversion plus float compare per edge. Meaningful only when
-// InUniform(v) holds and p ∈ (0,1); 0 otherwise.
-func (g *Graph) InCoinThr(v int32) uint64 { return g.inCoinThr[v] }
-
-// InLnq returns ln(1−p) of v's uniform in-block, the constant behind
-// the sampler's geometric jump length ⌊ln(u)/ln(1−p)⌋ — precomputed so
-// the jump path pays one math.Log per draw, not two. Meaningful only
-// when InUniform(v) holds and p ∈ (0,1); 0 otherwise.
-func (g *Graph) InLnq(v int32) float64 { return g.inLnq[v] }
-
-// finalizeInEdges (re)derives the fused in-adjacency stream and the
-// per-node uniform-probability flags from the split inAdj/inProb
-// arrays. Builder.Build calls it once, and every probability mutator
-// (ApplyWeightedCascade, ApplyUniformProb, ApplyTrivalency) calls it
-// again so the views never go stale.
-func (g *Graph) finalizeInEdges() {
-	if int64(len(g.inEdge)) != g.m {
-		g.inEdge = make([]InEdge, g.m)
-	}
-	if len(g.inUniform) != int(g.n) {
-		g.inUniform = make([]bool, g.n)
-		g.inCoinThr = make([]uint64, g.n)
-		g.inLnq = make([]float64, g.n)
-	}
-	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.inOff[v], g.inOff[v+1]
-		uniform := true
-		var p0 float32
-		if hi > lo {
-			p0 = g.inProb[lo]
-		}
-		for i := lo; i < hi; i++ {
-			g.inEdge[i] = InEdge{Src: g.inAdj[i], P: g.inProb[i]}
-			if g.inProb[i] != p0 {
-				uniform = false
-			}
-		}
-		g.inUniform[v] = uniform
-		g.inCoinThr[v] = 0
-		g.inLnq[v] = 0
-		if p := float64(p0); uniform && p > 0 && p < 1 {
-			// p·2⁵³ is exact (scaling by a power of two), so the ceil is the
-			// true integer threshold, not a rounded one.
-			g.inCoinThr[v] = uint64(math.Ceil(p * (1 << 53)))
-			g.inLnq[v] = math.Log1p(-p)
-		}
-	}
-}
-
-// InOffset returns the global index of v's first incoming edge in the
-// in-adjacency layout. Together with InDegree it lets callers address
-// individual in-edges by a stable dense edge id, which the LT realization
-// representation relies on.
-func (g *Graph) InOffset(v int32) int64 { return g.inOff[v] }
 
 // OutOffset returns the global index of u's first outgoing edge in the
 // out-adjacency layout (dense out-edge ids for IC realizations).
@@ -203,7 +107,7 @@ func (g *Graph) ApplyWeightedCascade() {
 		}
 		p := float32(1.0 / float64(d))
 		for i := g.inOff[v]; i < g.inOff[v+1]; i++ {
-			g.inProb[i] = p
+			g.inEdge[i].P = p
 		}
 	}
 	// Mirror onto the out-aligned copy.
@@ -214,7 +118,6 @@ func (g *Graph) ApplyWeightedCascade() {
 			probs[i] = float32(1.0 / float64(g.InDegree(v)))
 		}
 	}
-	g.finalizeInEdges()
 }
 
 // ApplyUniformProb overwrites every edge probability with p.
@@ -223,13 +126,12 @@ func (g *Graph) ApplyUniformProb(p float64) error {
 		return fmt.Errorf("graph: uniform probability %v outside (0,1]", p)
 	}
 	fp := float32(p)
-	for i := range g.inProb {
-		g.inProb[i] = fp
+	for i := range g.inEdge {
+		g.inEdge[i].P = fp
 	}
 	for i := range g.outProb {
 		g.outProb[i] = fp
 	}
-	g.finalizeInEdges()
 	return nil
 }
 

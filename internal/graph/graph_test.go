@@ -30,7 +30,7 @@ func TestBuilderBasics(t *testing.T) {
 	if got := g.OutNeighbors(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("out(0) = %v", got)
 	}
-	if got := g.InNeighbors(0); len(got) != 1 || got[0] != 2 {
+	if got := g.InEdges(0); len(got) != 1 || got[0].Src != 2 {
 		t.Fatalf("in(0) = %v", got)
 	}
 	if p := g.EdgeProb(1, 2); p != 0.25 {
@@ -143,10 +143,8 @@ func TestInOutConsistency(t *testing.T) {
 				return false
 			}
 			found := false
-			in := g.InNeighbors(e[1])
-			probs := g.InProbs(e[1])
-			for i, u := range in {
-				if u == e[0] && probs[i] == float32(p) {
+			for _, in := range g.InEdges(e[1]) {
+				if in.Src == e[0] && in.P == float32(p) {
 					found = true
 				}
 			}
@@ -181,11 +179,9 @@ func TestApplyWeightedCascade(t *testing.T) {
 	}
 	// In-aligned and out-aligned copies agree.
 	for v := int32(0); v < g.N(); v++ {
-		in := g.InNeighbors(v)
-		probs := g.InProbs(v)
-		for i, u := range in {
-			if g.EdgeProb(u, v) != float64(probs[i]) {
-				t.Fatalf("prob mismatch on ⟨%d,%d⟩", u, v)
+		for _, e := range g.InEdges(v) {
+			if g.EdgeProb(e.Src, v) != float64(e.P) {
+				t.Fatalf("prob mismatch on ⟨%d,%d⟩", e.Src, v)
 			}
 		}
 	}

@@ -22,11 +22,8 @@ func (g *Graph) ApplyTrivalency(seed uint64) {
 		}
 	}
 	for v := int32(0); v < g.N(); v++ {
-		ins := g.InNeighbors(v)
-		off := g.InOffset(v)
-		for i, u := range ins {
-			g.inProb[off+int64(i)] = pick(u, v)
+		for i := g.inOff[v]; i < g.inOff[v+1]; i++ {
+			g.inEdge[i].P = pick(g.inEdge[i].Src, v)
 		}
 	}
-	g.finalizeInEdges()
 }

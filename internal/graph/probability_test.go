@@ -26,11 +26,9 @@ func TestApplyTrivalencyConsistentViews(t *testing.T) {
 	}
 	// In-view must agree with out-view edge by edge.
 	for v := int32(0); v < g.N(); v++ {
-		ins := g.InNeighbors(v)
-		probs := g.InProbs(v)
-		for i, u := range ins {
-			if float64(probs[i]) != g.EdgeProb(u, v) {
-				t.Fatalf("edge (%d,%d): in-view %v != out-view %v", u, v, probs[i], g.EdgeProb(u, v))
+		for _, e := range g.InEdges(v) {
+			if float64(e.P) != g.EdgeProb(e.Src, v) {
+				t.Fatalf("edge (%d,%d): in-view %v != out-view %v", e.Src, v, e.P, g.EdgeProb(e.Src, v))
 			}
 		}
 	}

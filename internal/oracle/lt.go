@@ -94,13 +94,11 @@ func newLTInstance(g *graph.Graph, eta int64) (*ltInstance, error) {
 			inst.weights = append(inst.weights, p)
 			return
 		}
-		ins := g.InNeighbors(v)
-		probs := g.InProbs(v)
 		residual := 1.0
-		for i, u := range ins {
-			residual -= float64(probs[i])
-			choice[v] = u
-			recurse(v+1, p*float64(probs[i]))
+		for _, e := range g.InEdges(v) {
+			residual -= float64(e.P)
+			choice[v] = e.Src
+			recurse(v+1, p*float64(e.P))
 		}
 		if residual < 0 {
 			residual = 0

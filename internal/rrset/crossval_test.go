@@ -43,7 +43,7 @@ func TestTheorem33BandOnRandomGraphs(t *testing.T) {
 			coll := NewCollection(g)
 			for i := 0; i < sets; i++ {
 				k := RootSize(n, eta, r)
-				coll.AddCountsOnly(sampler.MRR(k, inactive, nil, r, nil))
+				coll.AddCountsOnly(sampler.MRRStable(k, inactive, nil, r, nil))
 			}
 			// Check the highest-degree node (non-trivial spread) and node 0.
 			probe := []int32{0}

@@ -165,9 +165,8 @@ type workerState struct {
 	rootKs  []int32 // per-set root counts of the current batch
 }
 
-// genTask asks a pool worker for sets [lo, hi) of a batch. When ids is
-// non-nil the task regenerates the stored sets ids[lo:hi] (Refresh);
-// otherwise it generates fresh pool positions base+lo … base+hi-1.
+// genTask asks a pool worker for sets [lo, hi) of a batch, each seeded
+// from its pool position (see position).
 type genTask struct {
 	idx      int
 	lo, hi   int
@@ -183,15 +182,14 @@ type genTask struct {
 	draws    *atomic.Int64
 }
 
-// taskResult hands a task's arena segment back to Generate. The slices
-// point into the worker's arena and stay valid until the next Generate
-// call resets it.
+// taskResult hands a task's arena segment back to generate. The slices
+// point into the worker's arena and stay valid until the next batch
+// resets it.
 type taskResult struct {
 	idx    int
 	data   []int32
 	lens   []int32
 	rootKs []int32
-	ids    []int32 // refresh tasks: the stored-set ids regenerated, aligned with lens
 }
 
 // NewEngine returns an Engine for g under the given model, speaking the
@@ -288,11 +286,7 @@ func poolWorker(tasks <-chan genTask, ws *workerState) {
 		// whole task (see Sampler.PrimeActive); active is nil below.
 		ws.sampler.PrimeActive(t.active)
 		for i := t.lo; i < t.hi; i++ {
-			gidx := t.base + int64(i)
-			if t.ids != nil {
-				gidx = int64(t.ids[i])
-			}
-			src.Seed(rng.SplitMix64(t.seed + uint64(gidx)))
+			src.Seed(rng.SplitMix64(t.seed + uint64(position(t.base, t.ids, i))))
 			setStart := len(ws.out)
 			var k int32
 			ws.out, k = generateOne(ws.sampler, t.strat, t.inactive, nil, t.etai, &src, ws.out)
@@ -301,12 +295,18 @@ func poolWorker(tasks <-chan genTask, ws *workerState) {
 		}
 		t.edges.Add(ws.sampler.EdgesExamined - edges0)
 		t.draws.Add(ws.sampler.RngDraws - draws0)
-		var ids []int32
-		if t.ids != nil {
-			ids = t.ids[t.lo:t.hi]
-		}
-		t.results <- taskResult{idx: t.idx, data: ws.out[dataStart:], lens: ws.lens[lensStart:], rootKs: ws.rootKs[lensStart:], ids: ids}
+		t.results <- taskResult{idx: t.idx, data: ws.out[dataStart:], lens: ws.lens[lensStart:], rootKs: ws.rootKs[lensStart:]}
 	}
+}
+
+// position returns the pool position of a batch's i-th set, which its
+// seed derives from: ids[i] when regenerating stored sets (Refresh),
+// base+i when growing the pool (Generate).
+func position(base int64, ids []int32, i int) int64 {
+	if ids != nil {
+		return int64(ids[i])
+	}
+	return base + int64(i)
 }
 
 // generateOne samples one set under the strategy into dst, via the
@@ -321,56 +321,12 @@ func generateOne(s *Sampler, strat RootStrategy, inactive []int32, active *bitse
 }
 
 // Generate adds req.Count sets to coll and returns the batch's
-// instrumentation. This is the single sampling loop of the codebase: every
-// consumer's pool growth routes through here. The per-set seeding makes
-// the added sets — and therefore every downstream selection — identical
-// for any worker count.
+// instrumentation. Every consumer's pool growth routes through here.
 func (e *Engine) Generate(coll *Collection, req Request) GenStats {
-	need := req.Count
-	if need <= 0 {
-		return GenStats{}
+	if req.CountsOnly {
+		return e.generate(req, req.Count, nil, func(_ int, set []int32, _ int32) { coll.AddCountsOnly(set) })
 	}
-	stats := GenStats{Sets: int64(need)}
-	if e.workers == 1 || need < minParallelSets {
-		ws := e.inline
-		edges0, draws0 := ws.sampler.EdgesExamined, ws.sampler.RngDraws
-		ws.sampler.PrimeActive(req.Active)
-		var src rng.Source
-		for i := 0; i < need; i++ {
-			src.Seed(rng.SplitMix64(req.Seed + uint64(req.FirstIndex+int64(i))))
-			set, k := generateOne(ws.sampler, req.Strategy, req.Inactive, nil, req.EtaI, &src, ws.out[:0])
-			ws.out = set // keep the grown buffer; Add copies
-			if req.CountsOnly {
-				coll.AddCountsOnly(set)
-			} else {
-				coll.AddRooted(set, k)
-			}
-			stats.SetNodes += int64(len(set))
-		}
-		stats.EdgesExamined = ws.sampler.EdgesExamined - edges0
-		stats.RngDraws = ws.sampler.RngDraws - draws0
-		return stats
-	}
-
-	ordered, edges, draws := e.fanOut(req, need, nil)
-	// Commit in set-index order so the Collection's stored-set ids are
-	// scheduling-independent.
-	for _, tr := range ordered {
-		var off int32
-		for si, l := range tr.lens {
-			set := tr.data[off : off+l]
-			off += l
-			if req.CountsOnly {
-				coll.AddCountsOnly(set)
-			} else {
-				coll.AddRooted(set, tr.rootKs[si])
-			}
-			stats.SetNodes += int64(len(set))
-		}
-	}
-	stats.EdgesExamined = edges
-	stats.RngDraws = draws
-	return stats
+	return e.generate(req, req.Count, nil, func(_ int, set []int32, k int32) { coll.AddRooted(set, k) })
 }
 
 // Refresh regenerates the identified stored sets of coll in place, each
@@ -381,8 +337,17 @@ func (e *Engine) Generate(coll *Collection, req Request) GenStats {
 // proportional to the activation delta. req.Count is ignored; ids must be
 // ascending stored-set ids (as returned by Prune).
 func (e *Engine) Refresh(coll *Collection, req Request, ids []int32) GenStats {
-	need := len(ids)
-	if need == 0 {
+	return e.generate(req, len(ids), ids, func(i int, set []int32, k int32) { coll.Replace(ids[i], set, k) })
+}
+
+// generate is the single sampling loop of the codebase, behind both
+// Generate and Refresh: it draws need sets, set i from the seed of its
+// pool position, and hands each to commit in i order. The per-set
+// seeding and the ordered commit make what lands in the Collection —
+// and therefore every downstream selection — identical for any worker
+// count.
+func (e *Engine) generate(req Request, need int, ids []int32, commit func(i int, set []int32, k int32)) GenStats {
+	if need <= 0 {
 		return GenStats{}
 	}
 	stats := GenStats{Sets: int64(need)}
@@ -391,11 +356,11 @@ func (e *Engine) Refresh(coll *Collection, req Request, ids []int32) GenStats {
 		edges0, draws0 := ws.sampler.EdgesExamined, ws.sampler.RngDraws
 		ws.sampler.PrimeActive(req.Active)
 		var src rng.Source
-		for _, id := range ids {
-			src.Seed(rng.SplitMix64(req.Seed + uint64(id)))
+		for i := 0; i < need; i++ {
+			src.Seed(rng.SplitMix64(req.Seed + uint64(position(req.FirstIndex, ids, i))))
 			set, k := generateOne(ws.sampler, req.Strategy, req.Inactive, nil, req.EtaI, &src, ws.out[:0])
-			ws.out = set
-			coll.Replace(id, set, k)
+			ws.out = set // keep the grown buffer; commit copies
+			commit(i, set, k)
 			stats.SetNodes += int64(len(set))
 		}
 		stats.EdgesExamined = ws.sampler.EdgesExamined - edges0
@@ -404,14 +369,14 @@ func (e *Engine) Refresh(coll *Collection, req Request, ids []int32) GenStats {
 	}
 
 	ordered, edges, draws := e.fanOut(req, need, ids)
-	// Commit in id order: coverage math is order-independent, but a fixed
-	// order keeps the data layout (and memory profile) reproducible.
+	i := 0
 	for _, tr := range ordered {
 		var off int32
 		for si, l := range tr.lens {
 			set := tr.data[off : off+l]
 			off += l
-			coll.Replace(tr.ids[si], set, tr.rootKs[si])
+			commit(i, set, tr.rootKs[si])
+			i++
 			stats.SetNodes += int64(len(set))
 		}
 	}

@@ -48,7 +48,7 @@ func TestCorollary34ResidualSandwich(t *testing.T) {
 		hits := map[int32]int{}
 		for i := 0; i < draws; i++ {
 			k := RootSize(ni, etai, r)
-			set := s.MRR(k, inactive, active, r, nil)
+			set := s.MRRStable(k, inactive, active, r, nil)
 			for _, v := range set {
 				hits[v]++
 			}

@@ -75,8 +75,8 @@ type Sampler struct {
 	model diffusion.Model
 	ver   Version
 
-	// The graph's fused in-adjacency headers (graph.FusedIn), held
-	// directly so the hot loop's block lookup does not chase through g.
+	// The graph's in-adjacency headers (graph.FusedIn), held directly so
+	// the hot loop's block lookup does not chase through g.
 	inOff  []int64
 	inEdge []graph.InEdge
 
@@ -86,8 +86,6 @@ type Sampler struct {
 	plan []icNode
 
 	visited *bitset.Set
-	roots   []int32
-	idxBuf  []int32
 
 	// EdgesExamined accumulates the number of in-edges looked at across all
 	// generated sets; the cost model behind Lemma 3.8 (and our EPT
@@ -117,19 +115,9 @@ func NewSamplerVersion(g *graph.Graph, model diffusion.Model, ver Version) *Samp
 	if !ver.Valid() {
 		panic("rrset: unknown sampler version")
 	}
-	// Pre-size the root scratch from graph stats: the mean set size
-	// tracks the mean in-degree, so a few multiples of m/n covers the
-	// bulk of sets without regrowth. (The BFS frontier itself lives in
-	// the caller's dst buffer — see propagate — which the engine
-	// pre-sizes the same way per worker arena.)
-	est := 4*int(g.M()/int64(g.N())) + 16
-	if est > int(g.N()) {
-		est = int(g.N())
-	}
 	s := &Sampler{
 		g: g, model: model, ver: ver,
 		visited: bitset.New(int(g.N())),
-		roots:   make([]int32, 0, est),
 	}
 	s.inOff, s.inEdge = g.FusedIn()
 	if model == diffusion.IC {
@@ -157,7 +145,7 @@ func (s *Sampler) PrimeActive(active *bitset.Set) {
 }
 
 // Per-node IC propagation strategies. The plan snapshots the graph's
-// probability layout at sampler construction (graphs are immutable once
+// probabilities at sampler construction (graphs are immutable once
 // handed to algorithms; probability mutators run during setup only).
 const (
 	// planCoins: general per-edge Bernoulli coins (non-uniform block).
@@ -175,13 +163,13 @@ const (
 )
 
 // icNode packs everything the IC hot loop needs about one dequeued node
-// into a single 24-byte record: the fused in-block location and the
+// into a single 24-byte record: the in-block location and the
 // dispatch byte with its plan constant. Keeping these in one record
 // matters as much as what is in it — split across parallel arrays
 // (offsets, plan bytes, constants), one random node lookup costs three
 // cache lines; packed, it costs one.
 type icNode struct {
-	off int64 // first fused in-edge of the node (graph.FusedIn index)
+	off int64 // first in-edge of the node (graph.FusedIn index)
 	// aux is the plan constant: the pre-shifted integer coin threshold
 	// (planUniform) or the bits of the block's ln(1−p) (planGeom).
 	aux  uint64
@@ -189,17 +177,20 @@ type icNode struct {
 	kind uint8 // plan* dispatch byte
 }
 
-// buildPlan derives the per-node IC dispatch plan from the graph's fused
-// layout and the sampler's stream contract.
+// buildPlan derives the per-node IC dispatch plan from the graph's
+// in-blocks and the sampler's stream contract. Each block is scanned
+// once: uniform blocks (every edge carrying the same p — the common case
+// under the paper's §6.1 uniform and weighted-cascade settings) get a
+// single-constant plan, every other block per-edge coins.
 func (s *Sampler) buildPlan() {
-	g, n := s.g, int(s.g.N())
+	n := int(s.g.N())
 	s.plan = make([]icNode, n)
 	for v := 0; v < n; v++ {
 		np := &s.plan[v]
 		np.off = s.inOff[v]
 		np.deg = int32(s.inOff[v+1] - s.inOff[v])
-		in := g.InEdges(int32(v))
-		if len(in) == 0 || !g.InUniform(int32(v)) {
+		in := s.inEdge[np.off : np.off+int64(np.deg)]
+		if !uniformBlock(in) {
 			np.kind = planCoins
 			continue
 		}
@@ -211,16 +202,30 @@ func (s *Sampler) buildPlan() {
 			np.kind = planTakeAll
 		case s.ver >= V2 && useGeomSkip(p, len(in)):
 			np.kind = planGeom
-			np.aux = math.Float64bits(g.InLnq(int32(v)))
+			np.aux = math.Float64bits(math.Log1p(-p))
 		default:
 			np.kind = planUniform
-			// Pre-shift the 53-bit threshold so the hot loop compares the
-			// raw 64-bit draw: Uint64()>>11 >= thr ⟺ Uint64() >= thr<<11
+			// A coin drawn as k = Uint64()>>11 accepts iff k < ⌈p·2⁵³⌉,
+			// which decides exactly as Float64() < p does (Float64() is
+			// k·2⁻⁵³, and p·2⁵³ is exact, scaling by a power of two).
+			// Pre-shift the threshold so the hot loop compares the raw
+			// 64-bit draw: Uint64()>>11 >= thr ⟺ Uint64() >= thr<<11
 			// exactly (floor division), and thr ≤ 2⁵³−1 because p < 1
 			// strictly, so the shift cannot overflow.
-			np.aux = g.InCoinThr(int32(v)) << 11
+			np.aux = uint64(math.Ceil(p*(1<<53))) << 11
 		}
 	}
+}
+
+// uniformBlock reports whether a non-empty in-block carries one
+// probability on every edge.
+func uniformBlock(in []graph.InEdge) bool {
+	for _, e := range in {
+		if e.P != in[0].P {
+			return false
+		}
+	}
+	return len(in) > 0
 }
 
 // Version returns the sampler's stream contract.
@@ -251,43 +256,6 @@ func RootSize(ni, etai int64, r *rng.Source) int {
 		k = ni
 	}
 	return int(k)
-}
-
-// MRR generates one mRR-set with k roots drawn uniformly without
-// replacement from inactive (the residual node list; for the full graph
-// pass all node ids). active is the mask of removed nodes (nil = none).
-// The set's nodes are appended to dst and the extended slice returned.
-// Roots themselves are always members of the set.
-//
-// MRR indexes into the inactive list for its root draws, so its stream
-// consumption shifts whenever the list changes; the engine uses the
-// residual-stable MRRStable instead. MRR remains for direct estimator use
-// (the two are identically distributed).
-func (s *Sampler) MRR(k int, inactive []int32, active *bitset.Set, r *rng.Source, dst []int32) []int32 {
-	if k <= 0 || k > len(inactive) {
-		panic("rrset: root count out of range")
-	}
-	s.roots = s.roots[:0]
-	if k == len(inactive) {
-		s.roots = append(s.roots, inactive...)
-	} else {
-		// Sample k distinct positions in the inactive list.
-		s.idxBuf = r.SampleNoReplace(len(inactive), k, s.idxBuf[:0])
-		for _, i := range s.idxBuf {
-			s.roots = append(s.roots, inactive[i])
-		}
-	}
-	return s.reverseBFS(s.roots, active, r, dst)
-}
-
-// RR generates one classic single-root RR-set with the root drawn
-// uniformly from inactive. Like MRR it is not residual-stable; the engine
-// uses RRStable.
-func (s *Sampler) RR(inactive []int32, active *bitset.Set, r *rng.Source, dst []int32) []int32 {
-	root := inactive[r.Intn(len(inactive))]
-	s.roots = s.roots[:0]
-	s.roots = append(s.roots, root)
-	return s.reverseBFS(s.roots, active, r, dst)
 }
 
 // MRRStable generates one mRR-set with k roots drawn uniformly without
@@ -365,18 +333,6 @@ func (s *Sampler) RRStable(active *bitset.Set, r *rng.Source, dst []int32) []int
 	return s.propagate(active, r, dst, base)
 }
 
-// reverseBFS collects all inactive nodes reaching roots in one random
-// realization restricted to the residual graph.
-func (s *Sampler) reverseBFS(roots []int32, active *bitset.Set, r *rng.Source, dst []int32) []int32 {
-	base := len(dst)
-	for _, v := range roots {
-		if !s.visited.TestAndSet(v) {
-			dst = append(dst, v)
-		}
-	}
-	return s.propagate(active, r, dst, base)
-}
-
 // propagate runs the stochastic reverse BFS from the pre-seeded frontier:
 // dst[base:] holds the roots (marked visited already) and doubles as the
 // BFS queue — accepted nodes are appended and dequeued by index, so the
@@ -405,7 +361,7 @@ func (s *Sampler) propagate(active *bitset.Set, r *rng.Source, dst []int32, base
 }
 
 // propagateIC is the IC hot loop: per dequeued node, one plan-byte
-// dispatch over its fused in-block. Edge and draw counts accumulate in
+// dispatch over its in-block. Edge and draw counts accumulate in
 // locals and flush to the Sampler once per set.
 //
 //asm:hotpath
@@ -521,7 +477,7 @@ func (s *Sampler) propagateLT(active *bitset.Set, r *rng.Source, dst []int32, ba
 	return dst
 }
 
-// icCoins is the per-edge Bernoulli walk over one fused block — V1's
+// icCoins is the per-edge Bernoulli walk over one in-block — V1's
 // contract, and V2's on non-uniform blocks (draw-for-draw identical to
 // V1 there). The coin consumption replicates rng.Bernoulli exactly: no
 // draw for p outside (0,1), one Float64 otherwise. Returns the grown
@@ -570,11 +526,11 @@ func (s *Sampler) icTakeAll(in []graph.InEdge, active *bitset.Set, dst []int32) 
 	return dst
 }
 
-// icGeomSkip walks one uniform-probability fused block by geometric
-// jumps (V2 only): the gap to the next live edge is Geom(p)-distributed
-// — P(skip = k) = (1−p)^k·p via skip = ⌊ln u / ln(1−p)⌋, u ∈ (0,1] —
-// so the block costs ≈ p·deg+1 draws instead of deg. lnq is the block's
-// precomputed ln(1−p) (graph.InLnq). Jump lengths depend only on the
+// icGeomSkip walks one uniform-probability block by geometric jumps
+// (V2 only): the gap to the next live edge is Geom(p)-distributed —
+// P(skip = k) = (1−p)^k·p via skip = ⌊ln u / ln(1−p)⌋, u ∈ (0,1] — so
+// the block costs ≈ p·deg+1 draws instead of deg. lnq is the block's
+// ln(1−p), precomputed by buildPlan. Jump lengths depend only on the
 // stream, keeping consumption mask-independent.
 //
 //asm:hotpath
@@ -583,8 +539,12 @@ func (s *Sampler) icGeomSkip(in []graph.InEdge, lnq float64, active *bitset.Set,
 	for i := 0; ; i++ {
 		draws++
 		u := 1 - r.Float64() // (0,1]: Log is finite, u == 1 gives skip 0
-		skip := int64(math.Log(u) / lnq)
-		if skip >= int64(len(in)-i) {
+		// Compared as a float: for tiny p the quotient can exceed 2⁶³,
+		// where an int64 conversion would wrap to a negative jump. Below
+		// that, skip >= rest ⟺ ⌊skip⌋ >= rest, so the decision is the
+		// truncated one.
+		skip := math.Log(u) / lnq
+		if skip >= float64(len(in)-i) {
 			return dst, draws // jumped past the block's end
 		}
 		i += int(skip)

@@ -59,7 +59,7 @@ func TestMRRMembersReachRoots(t *testing.T) {
 	g := gen.Line(6, 1.0)
 	s := NewSampler(g, diffusion.IC)
 	r := rng.New(3)
-	set := s.MRR(1, allNodes(6), nil, r, nil)
+	set := s.MRRStable(1, allNodes(6), nil, r, nil)
 	// On a deterministic line, the RR set of root v is {0..v}.
 	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
 	root := set[len(set)-1]
@@ -94,7 +94,7 @@ func TestMRRNoDuplicates(t *testing.T) {
 		s := NewSampler(g, model)
 		if err := quick.Check(func(rawK uint8) bool {
 			k := int(rawK)%len(inactive) + 1
-			set := s.MRR(k, inactive, active, r, nil)
+			set := s.MRRStable(k, inactive, active, r, nil)
 			if len(set) < k {
 				return false // roots alone give k members
 			}
@@ -121,7 +121,7 @@ func TestRRUnbiasedSpread(t *testing.T) {
 	const draws = 300000
 	hits := make([]int, g.N())
 	for i := 0; i < draws; i++ {
-		set := s.RR(allNodes(g.N()), nil, r, nil)
+		set := s.RRStable(nil, r, nil)
 		for _, v := range set {
 			hits[v]++
 		}
@@ -150,7 +150,7 @@ func TestMRREstimatorMatchesClosedForm(t *testing.T) {
 	hits := make([]int, g.N())
 	for i := 0; i < draws; i++ {
 		k := RootSize(int64(g.N()), eta, r)
-		set := s.MRR(k, allNodes(g.N()), nil, r, nil)
+		set := s.MRRStable(k, allNodes(g.N()), nil, r, nil)
 		for _, v := range set {
 			hits[v]++
 		}
@@ -173,9 +173,8 @@ func TestLTReverseDeterministicLine(t *testing.T) {
 	g := gen.Line(6, 1.0)
 	s := NewSampler(g, diffusion.LT)
 	r := rng.New(8)
-	inactive := allNodes(6)
 	for i := 0; i < 20; i++ {
-		set := s.RR(inactive, nil, r, nil)
+		set := s.RRStable(nil, r, nil)
 		max := int32(-1)
 		for _, v := range set {
 			if v > max {
@@ -265,7 +264,7 @@ func TestGreedyCoverageSubmodular(t *testing.T) {
 	r := rng.New(11)
 	c := NewCollection(g)
 	for i := 0; i < 500; i++ {
-		c.Add(s.MRR(2, allNodes(80), nil, r, nil))
+		c.Add(s.MRRStable(2, allNodes(80), nil, r, nil))
 	}
 	seeds, _ := c.GreedyMaxCoverage(10, nil)
 	prev := int64(1 << 60)
@@ -306,7 +305,7 @@ func BenchmarkMRR_IC(b *testing.B) {
 	inactive := allNodes(g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MRR(10, inactive, nil, r, nil)
+		s.MRRStable(10, inactive, nil, r, nil)
 	}
 }
 
@@ -317,6 +316,6 @@ func BenchmarkMRR_LT(b *testing.B) {
 	inactive := allNodes(g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MRR(10, inactive, nil, r, nil)
+		s.MRRStable(10, inactive, nil, r, nil)
 	}
 }

@@ -287,7 +287,7 @@ func BenchmarkPropagate(b *testing.B) {
 				var nodes int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					nodes += int64(len(s.MRR(10, inactive, nil, r, nil)))
+					nodes += int64(len(s.MRRStable(10, inactive, nil, r, nil)))
 				}
 				b.ReportMetric(float64(s.EdgesExamined)/float64(b.N), "edges/op")
 				b.ReportMetric(float64(s.RngDraws)/float64(b.N), "draws/op")

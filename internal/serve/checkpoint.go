@@ -276,7 +276,7 @@ func (m *Manager) graphSig(g *graph.Graph) uint64 {
 }
 
 // graphFingerprint digests a graph's sampled structure: node/edge
-// counts, direction convention, and the fused in-adjacency stream the
+// counts, direction convention, and the in-adjacency stream the
 // sampler actually walks (offsets, sources, probability bits). FNV-1a
 // over 64-bit words, same scheme as rrset.Collection.Fingerprint.
 func graphFingerprint(g *graph.Graph) uint64 {

@@ -12,10 +12,45 @@ import (
 
 	"asti/internal/bitset"
 	"asti/internal/diffusion"
+	"asti/internal/gen"
+	"asti/internal/graph"
 	"asti/internal/journal"
 	"asti/internal/rng"
 	"asti/internal/serve"
 )
+
+// TestGraphFingerprintFrozen pins the graph signature every checkpoint
+// records. A checkpoint whose signature no longer matches its dataset
+// reads as dataset drift, and a compacted log cannot fall back to a full
+// replay, so a shifted signature would make recovery skip every stored
+// session. Any change to the in-adjacency bytes the signature hashes must
+// keep these values.
+func TestGraphFingerprintFrozen(t *testing.T) {
+	dataset := func(name string) *graph.Graph {
+		spec, err := gen.Dataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := spec.Generate(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want uint64
+	}{
+		{"figure2", gen.Figure2Graph(), 0xde58b6997ce30491},
+		{"synth-nethept@0.05", dataset("synth-nethept"), 0xccd18555e0aa9d78},
+		{"synth-epinions@0.05", dataset("synth-epinions"), 0xe1594f25abe969fd},
+	} {
+		if got := serve.GraphFingerprint(tc.g); got != tc.want {
+			t.Errorf("%s: graph signature %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
 
 // TestCheckpointAuditSweep is the replay verification the checkpoint
 // write path does not run, done once per configuration instead of on

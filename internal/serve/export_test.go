@@ -154,3 +154,6 @@ func Register(m *Manager, s *Session, id string) {
 	m.sessions[id] = s
 	m.mu.Unlock()
 }
+
+// GraphFingerprint is the graph signature checkpoints pin.
+var GraphFingerprint = graphFingerprint

@@ -158,23 +158,22 @@ func (o *Oracle) sampleLiveReverse(g *graph.Graph, model diffusion.Model, r *rng
 	pos := int32(0)
 	for v := int32(0); v < n; v++ {
 		head[v] = pos
-		ins := g.InNeighbors(v)
-		probs := g.InProbs(v)
+		in := g.InEdges(v)
 		switch model {
 		case diffusion.IC:
-			for i, u := range ins {
-				if r.Bernoulli(float64(probs[i])) {
-					dst = append(dst, u)
+			for _, e := range in {
+				if r.Bernoulli(float64(e.P)) {
+					dst = append(dst, e.Src)
 					pos++
 				}
 			}
 		default: // LT: at most one live in-edge
 			x := r.Float64()
 			var acc float64
-			for i, u := range ins {
-				acc += float64(probs[i])
+			for _, e := range in {
+				acc += float64(e.P)
 				if x < acc {
-					dst = append(dst, u)
+					dst = append(dst, e.Src)
 					pos++
 					break
 				}
