@@ -25,10 +25,10 @@
 //
 // All RR/mRR sampling — TRIM's adaptive rounds, the OPIM-C and IMM
 // influence maximizers, and the ATEUC baseline alike — runs through one
-// shared concurrent engine (internal/rrset.Engine): a persistent worker
-// pool with per-worker scratch, a pluggable root strategy (single-root
-// RR; randomized/floor/ceil-rounded mRR), and reusable set collections
-// that reset in O(touched) between adaptive rounds. Each sampled set
+// shared concurrent engine (internal/rrset.Engine): per-worker scratch, a
+// pluggable root strategy (single-root RR; randomized/floor/ceil-rounded
+// mRR), and reusable set collections that reset in O(touched) between
+// adaptive rounds. Each sampled set
 // seeds its own generator from the batch seed, so results are
 // byte-identical for every worker count: parallelism is purely a speed
 // knob.
@@ -140,7 +140,7 @@ type options struct {
 	samplerVer rrset.Version
 }
 
-// WithWorkers sizes the sampling engine's worker pool: 0 (the default)
+// WithWorkers sets the sampling engine's worker count: 0 (the default)
 // uses GOMAXPROCS, 1 forces the sequential path, n > 1 uses n workers.
 // Selections are byte-identical for every setting.
 func WithWorkers(n int) Option {

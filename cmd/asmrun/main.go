@@ -109,14 +109,9 @@ func run(dataset, graphPath string, scale float64, modelName, policyName string,
 		return err
 	}
 
-	var model diffusion.Model
-	switch strings.ToUpper(modelName) {
-	case "IC":
-		model = diffusion.IC
-	case "LT":
-		model = diffusion.LT
-	default:
-		return fmt.Errorf("unknown model %q (IC or LT)", modelName)
+	model, err := diffusion.ParseModel(modelName)
+	if err != nil {
+		return err
 	}
 
 	if eta == 0 {

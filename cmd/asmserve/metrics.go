@@ -107,7 +107,7 @@ var families = []family{
 	{"asmserve_journal_reopens_total", "counter", "Journal writer re-opens performed inside append retry loops.",
 		func(_ *server, mt *serve.Metrics) any { return mt.Journal.Reopens }},
 	{"asmserve_emergency_compactions_total", "counter", "On-demand journal compactions run in response to disk-full append failures.", counter(serve.EmergencyCompactions)},
-	{"asmserve_sessions_poisoned_total", "counter", "Sessions closed by a final journal failure under the fail-stop durability policy.", counter(serve.Poisoned)},
+	{"asmserve_sessions_poisoned_total", "counter", "Sessions closed by a final journal failure under the fail-stop durability policy, or by a panic in their policy.", counter(serve.Poisoned)},
 	{"asmserve_sessions_degraded_total", "counter", "Sessions switched to non-durable serving by a final journal failure under the degrade policy.", counter(serve.Degraded)},
 	{"asmserve_sessions_degraded", "gauge", "Open sessions currently serving non-durably (their logs are frozen at the last durable transition).",
 		func(_ *server, mt *serve.Metrics) any { return mt.DegradedNow }},

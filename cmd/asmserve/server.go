@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"asti/internal/diffusion"
@@ -116,8 +115,8 @@ type healthResponse struct {
 	// Always true on an unjournaled server.
 	JournalHealthy bool `json:"journal_healthy"`
 	// PoisonedTotal / DegradedTotal count sessions closed by a journal
-	// failure (fail-stop policy) and sessions switched to non-durable
-	// serving (degrade policy) since boot.
+	// failure (fail-stop policy) or a policy panic, and sessions switched
+	// to non-durable serving (degrade policy), since boot.
 	PoisonedTotal uint64 `json:"poisoned_total"`
 	DegradedTotal uint64 `json:"degraded_total"`
 	// JournalRetries counts transient journal append/fsync failures that
@@ -213,7 +212,7 @@ func (sv *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	model, err := parseModel(req.Model)
+	model, err := diffusion.ParseModel(req.Model)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -337,18 +336,6 @@ func bodyStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// parseModel maps the wire model name to a diffusion.Model ("" = IC).
-func parseModel(name string) (diffusion.Model, error) {
-	switch strings.ToUpper(name) {
-	case "", "IC":
-		return diffusion.IC, nil
-	case "LT":
-		return diffusion.LT, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (IC or LT)", name)
-	}
 }
 
 // createStatus maps session-creation errors to HTTP statuses: unknown

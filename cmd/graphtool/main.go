@@ -60,7 +60,7 @@ func run(args []string, w *os.File) error {
 	if err != nil {
 		return err
 	}
-	model, err := parseModel(*modelName)
+	model, err := diffusion.ParseModel(*modelName)
 	if err != nil {
 		return err
 	}
@@ -136,17 +136,6 @@ func loadGraph(path, dataset string, scale float64) (*graph.Graph, error) {
 		return spec.Generate(scale)
 	default:
 		return nil, fmt.Errorf("need -graph FILE or -dataset NAME")
-	}
-}
-
-func parseModel(name string) (diffusion.Model, error) {
-	switch strings.ToUpper(name) {
-	case "IC":
-		return diffusion.IC, nil
-	case "LT":
-		return diffusion.LT, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (IC or LT)", name)
 	}
 }
 

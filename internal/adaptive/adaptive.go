@@ -2,12 +2,14 @@
 // the adaptive select–observe–select loop for seed minimization.
 //
 // A Policy encapsulates one round of seed selection on the current
-// residual graph (TRIM, TRIM-B and the AdaptIM baseline are Policies). Run
-// executes a Policy against one fixed Realization φ: each round the policy
-// proposes a batch, the realized influence of the batch in φ is observed,
-// the activated nodes are removed from the residual graph, and the loop
-// stops as soon as at least η nodes are active — the property that makes
-// adaptive policies always feasible (§1, §6.2).
+// residual graph (TRIM, TRIM-B and the AdaptIM baseline are Policies). A
+// Campaign is the loop itself: each round the policy proposes a batch,
+// the batch's realized influence is observed, the activated nodes are
+// removed from the residual graph, and the loop stops as soon as at
+// least η nodes are active — the property that makes adaptive policies
+// always feasible (§1, §6.2). Run drives a Campaign against one fixed
+// Realization φ; serve.Session drives one against a client's
+// observations.
 package adaptive
 
 import (
@@ -109,64 +111,137 @@ func (r *Result) NumSeeds() int { return len(r.Seeds) }
 // threshold is not yet reached.
 var ErrNoProgress = errors.New("adaptive: policy returned no seeds before reaching eta")
 
+// Campaign is Algorithm 1's loop state, kept once for every host of a
+// Policy: Run drives it against a realization, serve.Session against a
+// client's observations. Each round Propose selects a batch on the
+// residual graph and Commit folds the batch's observed influence back
+// in; the campaign is over once EtaI() ≤ 0. A Campaign is not safe for
+// concurrent use.
+type Campaign struct {
+	// State is the residual view the policy selects against. Its Round
+	// counts proposals, a batch still awaiting Commit included.
+	State
+	// Policy proposes the batches.
+	Policy Policy
+	// Seeds is the committed seed sequence in selection order.
+	Seeds []int32
+	// Rounds traces each committed round.
+	Rounds []RoundTrace
+	// SelectTime is the cumulative policy-side selection time.
+	SelectTime time.Duration
+}
+
+// NewCampaign starts a campaign to activate at least eta nodes of g under
+// model: every node inactive, no round proposed, and policy's cross-run
+// state reset. src drives the policy's sampling.
+func NewCampaign(g *graph.Graph, model diffusion.Model, eta int64, policy Policy, src *rng.Source) (*Campaign, error) {
+	if err := validate(g, model, eta); err != nil {
+		return nil, err
+	}
+	if policy == nil {
+		return nil, errors.New("adaptive: nil policy")
+	}
+	// A policy may carry cross-run state, such as a sampling pool, and
+	// declares it with a Reset method: every campaign starts fresh.
+	if r, ok := policy.(interface{ Reset() }); ok {
+		r.Reset()
+	}
+	return &Campaign{
+		State: State{
+			G:        g,
+			Model:    model,
+			Eta:      eta,
+			Active:   bitset.New(int(g.N())),
+			Inactive: allNodes(g.N()),
+			Rng:      src,
+		},
+		Policy: policy,
+	}, nil
+}
+
+// Propose counts the next round and runs the policy on the residual
+// state, adding the time it takes to SelectTime. An empty batch is
+// ErrNoProgress; a batch with an out-of-range, active or repeated seed
+// is an error too. On any failure, a panic in the policy included, the
+// round is not counted. The returned batch is the caller's copy: a
+// policy may return a view of Inactive, which Commit rewrites.
+func (c *Campaign) Propose() ([]int32, error) {
+	c.Round++
+	counted := false
+	defer func() {
+		if !counted {
+			c.Round--
+		}
+	}()
+	//asm:nondet-ok wall-clock timing statistic only; SelectTime never feeds seed selection or the rng
+	t0 := time.Now()
+	batch, err := c.Policy.SelectBatch(&c.State)
+	//asm:nondet-ok same timing statistic as above
+	c.SelectTime += time.Since(t0)
+	if err != nil {
+		return nil, fmt.Errorf("adaptive: round %d: %w", c.Round, err)
+	}
+	if len(batch) == 0 {
+		return nil, ErrNoProgress
+	}
+	if err := ValidateBatch(c.G, c.Active, batch); err != nil {
+		return nil, fmt.Errorf("adaptive: round %d: %w", c.Round, err)
+	}
+	counted = true
+	return slices.Clone(batch), nil
+}
+
+// Commit closes the proposed round: the batch Propose returned and the
+// observed activated nodes (in range; already-active ones are ignored)
+// become active, the nodes this activates leave Inactive and form the
+// next round's Delta, and the round's trace is recorded. It returns the
+// number of newly activated nodes.
+func (c *Campaign) Commit(batch, activated []int32) int64 {
+	before := c.Activated()
+	trace := RoundTrace{Seeds: batch, NiBefore: c.Ni(), EtaIBefore: c.EtaI()}
+	for _, v := range batch {
+		c.Active.Set(v)
+	}
+	for _, v := range activated {
+		c.Active.Set(v)
+	}
+	c.Inactive, c.Delta = CompactInactive(c.Inactive, c.Active)
+	trace.Marginal = c.Activated() - before
+	c.Seeds = append(c.Seeds, batch...)
+	c.Rounds = append(c.Rounds, trace)
+	return trace.Marginal
+}
+
 // Run executes policy against realization φ until at least eta nodes are
 // active. seedRng drives the policy's internal sampling; φ supplies the
 // (initially hidden) ground truth.
 func Run(g *graph.Graph, model diffusion.Model, eta int64, policy Policy, φ *diffusion.Realization, seedRng *rng.Source) (*Result, error) {
-	if err := validate(g, model, eta); err != nil {
+	c, err := NewCampaign(g, model, eta, policy, seedRng)
+	if err != nil {
 		return nil, err
 	}
 	if φ.Graph() != g || φ.Model() != model {
 		return nil, errors.New("adaptive: realization does not match graph/model")
 	}
-	ResetPolicy(policy)
-	st := &State{
-		G:        g,
-		Model:    model,
-		Eta:      eta,
-		Active:   bitset.New(int(g.N())),
-		Inactive: allNodes(g.N()),
-		Rng:      seedRng,
-	}
-	res := &Result{Policy: policy.Name()}
-	for st.EtaI() > 0 {
-		st.Round++
-		niBefore, etaIBefore := st.Ni(), st.EtaI()
-		//asm:nondet-ok wall-clock timing statistic only; Duration never feeds seed selection or the rng
-		t0 := time.Now()
-		batch, err := policy.SelectBatch(st)
-		//asm:nondet-ok same timing statistic as above
-		res.Duration += time.Since(t0) // observation time between rounds excluded
+	for c.EtaI() > 0 {
+		batch, err := c.Propose()
 		if err != nil {
-			return nil, fmt.Errorf("adaptive: round %d: %w", st.Round, err)
+			return nil, err
 		}
-		if len(batch) == 0 {
-			return nil, ErrNoProgress
-		}
-		if err := ValidateBatch(g, st.Active, batch); err != nil {
-			return nil, fmt.Errorf("adaptive: round %d: %w", st.Round, err)
-		}
-		// A policy may return a view of st.Inactive, which the compaction
-		// below rewrites in place: keep a copy before committing.
-		batch = slices.Clone(batch)
 		// Observe the batch's realized influence in φ restricted to the
-		// residual graph, then commit it.
-		newly := φ.Spread(batch, st.Active)
-		for _, v := range newly {
-			st.Active.Set(v)
-		}
-		st.Inactive, st.Delta = CompactInactive(st.Inactive, st.Active)
-		res.Seeds = append(res.Seeds, batch...)
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Seeds:      batch,
-			Marginal:   int64(len(newly)),
-			NiBefore:   niBefore,
-			EtaIBefore: etaIBefore,
-		})
+		// residual graph. Observation time is not selection time: in the
+		// field it is the marketing campaign, not computation.
+		c.Commit(batch, φ.Spread(batch, c.Active))
 	}
-	res.Spread = int64(g.N()) - st.Ni()
-	res.ReachedEta = res.Spread >= eta
-	return res, nil
+	spread := c.Activated()
+	return &Result{
+		Policy:     policy.Name(),
+		Seeds:      c.Seeds,
+		Rounds:     c.Rounds,
+		Spread:     spread,
+		ReachedEta: spread >= eta,
+		Duration:   c.SelectTime,
+	}, nil
 }
 
 // EvaluateFixedSet measures a non-adaptively chosen seed set S on a single
@@ -198,18 +273,8 @@ func allNodes(n int32) []int32 {
 	return xs
 }
 
-// ResetPolicy clears any cross-run state a policy carries (e.g. CELF's
-// lazy queue, declared via a Reset method): a Run — or a serve.Session —
-// is always a fresh campaign. Shared by every loop that hosts a Policy.
-func ResetPolicy(p Policy) {
-	if r, ok := p.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-}
-
 // ValidateBatch rejects batches containing out-of-range, already-active
-// or repeated seeds — the guard every loop hosting a Policy applies
-// before committing a proposal.
+// or repeated seeds — the guard Propose applies to every proposal.
 func ValidateBatch(g *graph.Graph, active *bitset.Set, batch []int32) error {
 	for i, s := range batch {
 		if s < 0 || s >= g.N() || active.Get(s) {
@@ -224,7 +289,7 @@ func ValidateBatch(g *graph.Graph, active *bitset.Set, batch []int32) error {
 
 // CompactInactive removes newly activated nodes from the inactive list in
 // place, preserving order, and returns the surviving list alongside the
-// removed nodes — the activation delta the loops feed back to policies via
+// removed nodes — the activation delta Commit feeds back to policies via
 // State.Delta (so sampling pools can be pruned instead of rebuilt). delta
 // is nil when nothing was removed; otherwise it is freshly allocated (the
 // kept prefix overwrites the input's storage).

@@ -100,6 +100,30 @@ func TestRunPolicyErrors(t *testing.T) {
 	}
 }
 
+// TestCampaignFailedProposalCountsNoRound: a proposal that fails — a
+// policy error, an empty or invalid batch, or a panic in the policy —
+// leaves the round count where it was, so the next proposal is numbered
+// as a replay of the committed history would number it.
+func TestCampaignFailedProposalCountsNoRound(t *testing.T) {
+	g := smallGraph(t)
+	panics := policyFunc{name: "panics", fn: func(*State) ([]int32, error) { panic("boom") }}
+	for _, pol := range []Policy{errPolicy{}, emptyPolicy{}, badPolicy{seed: -1}, panics} {
+		c, err := NewCampaign(g, diffusion.IC, 10, pol, rng.New(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() { _ = recover() }()
+			if _, err := c.Propose(); err == nil {
+				t.Errorf("%s: failed proposal accepted", pol.Name())
+			}
+		}()
+		if c.Round != 0 {
+			t.Errorf("%s: round %d after a failed proposal, want 0", pol.Name(), c.Round)
+		}
+	}
+}
+
 func TestRunRejectsActiveSeed(t *testing.T) {
 	// A policy that keeps returning node 0 must be rejected on round 2.
 	g := gen.Line(4, 1.0)

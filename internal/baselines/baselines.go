@@ -39,7 +39,7 @@ type ATEUC struct {
 	Epsilon float64
 	// MaxSets caps the RR pool (0 = default cap of 2^20 sets).
 	MaxSets int64
-	// Workers sizes the sampling engine's worker pool (0 = GOMAXPROCS,
+	// Workers sets the sampling engine's worker count (0 = GOMAXPROCS,
 	// 1 = sequential). The selected seeds are identical for every setting.
 	Workers int
 	// Stats instrumentation.

@@ -49,7 +49,7 @@ type Profile struct {
 	Batches []int
 	// MaxSetsPerRound bounds worst-case memory per TRIM round (0 = none).
 	MaxSetsPerRound int64
-	// Workers sizes the sampling engine's worker pool inside TRIM rounds
+	// Workers sets the sampling engine's worker count inside TRIM rounds
 	// (trim.Config.Workers): 0 = GOMAXPROCS (the default — experiments
 	// exercise the parallel path out of the box), 1 = sequential. Seed
 	// selections are identical for every setting.

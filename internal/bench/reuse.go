@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"asti/internal/adaptive"
-	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/gen"
 	"asti/internal/graph"
@@ -149,7 +148,7 @@ type roundRecorder struct {
 
 func (rr *roundRecorder) Name() string { return rr.pol.Name() }
 
-func (rr *roundRecorder) Reset() { adaptive.ResetPolicy(rr.pol) }
+func (rr *roundRecorder) Reset() { rr.pol.Reset() }
 
 func (rr *roundRecorder) SelectBatch(st *adaptive.State) ([]int32, error) {
 	t0 := time.Now()
@@ -180,34 +179,19 @@ func smallDeltaRun(g *graph.Graph, p Profile) (SmallDeltaPerf, error) {
 	script := func(reuse bool) (float64, []int32, *trim.Policy, error) {
 		pol := trim.MustNew(trim.Config{Epsilon: p.Epsilon, Batch: 1, Truncated: true,
 			MaxSetsPerRound: p.MaxSetsPerRound, Workers: p.Workers, ReusePool: reuse})
-		adaptive.ResetPolicy(pol)
-		n := int(g.N())
-		active := bitset.New(n)
-		inactive := make([]int32, n)
-		for i := range inactive {
-			inactive[i] = int32(i)
+		c, err := adaptive.NewCampaign(g, diffusion.IC, eta, pol, rng.New(p.Seed^0xD17A))
+		if err != nil {
+			return 0, nil, nil, err
 		}
-		st := &adaptive.State{
-			G: g, Model: diffusion.IC, Eta: eta,
-			Active: active, Inactive: inactive,
-			Rng: rng.New(p.Seed ^ 0xD17A),
-		}
-		var seeds []int32
-		t0 := time.Now()
-		for r := 1; r <= rounds; r++ {
-			st.Round = r
-			batch, err := pol.SelectBatch(st)
+		for range rounds {
+			batch, err := c.Propose()
 			if err != nil {
 				pol.Close()
 				return 0, nil, nil, err
 			}
-			for _, v := range batch {
-				active.Set(v)
-			}
-			seeds = append(seeds, batch...)
-			st.Inactive, st.Delta = adaptive.CompactInactive(st.Inactive, active)
+			c.Commit(batch, nil)
 		}
-		return time.Since(t0).Seconds(), seeds, pol, nil
+		return c.SelectTime.Seconds(), c.Seeds, pol, nil
 	}
 	onSecs, onSeeds, onPol, err := script(true)
 	if err != nil {

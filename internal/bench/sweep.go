@@ -174,7 +174,6 @@ func runCell(p Profile, g *graph.Graph, model diffusion.Model, col policySpec, f
 			Batch:           col.batch,
 			Truncated:       !col.vanilla,
 			MaxSetsPerRound: p.MaxSetsPerRound,
-			NameOverride:    col.name,
 			Workers:         p.Workers,
 			ReusePool:       p.reusePool(),
 		})

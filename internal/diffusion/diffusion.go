@@ -16,6 +16,7 @@ package diffusion
 
 import (
 	"fmt"
+	"strings"
 
 	"asti/internal/bitset"
 	"asti/internal/graph"
@@ -44,6 +45,19 @@ func (m Model) String() string {
 		return "LT"
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
+	}
+}
+
+// ParseModel maps a wire name back to its Model, the inverse of String:
+// case-insensitive, with "" meaning IC (Model's zero value).
+func ParseModel(name string) (Model, error) {
+	switch strings.ToUpper(name) {
+	case "", "IC":
+		return IC, nil
+	case "LT":
+		return LT, nil
+	default:
+		return 0, fmt.Errorf("unknown model %q (IC or LT)", name)
 	}
 }
 

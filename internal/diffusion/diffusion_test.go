@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,37 @@ func TestModelString(t *testing.T) {
 	}
 	if Model(9).String() == "" {
 		t.Fatal("unknown model must still print")
+	}
+}
+
+// TestParseModel: ParseModel inverts String case-insensitively, reads ""
+// as IC, and rejects any other name with an error naming IC and LT.
+func TestParseModel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Model
+		ok   bool
+	}{
+		{"", IC, true},
+		{"IC", IC, true},
+		{"ic", IC, true},
+		{"LT", LT, true},
+		{"lT", LT, true},
+		{"ICX", 0, false},
+		{"linear threshold", 0, false},
+	} {
+		got, err := ParseModel(tc.name)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "IC or LT")) {
+			t.Errorf("ParseModel(%q) error %v, want one naming IC and LT", tc.name, err)
+		}
+	}
+	for _, m := range []Model{IC, LT} {
+		if got, err := ParseModel(m.String()); err != nil || got != m {
+			t.Errorf("ParseModel(%v.String()) = %v, %v", m, got, err)
+		}
 	}
 }
 

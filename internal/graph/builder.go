@@ -40,14 +40,19 @@ func (b *Builder) AddEdge(u, v int32, p float64) {
 		b.err = fmt.Errorf("graph: edge ⟨%d,%d⟩ endpoint out of range [0,%d)", u, v, b.n)
 	case u == v:
 		b.err = fmt.Errorf("graph: self-loop at node %d", u)
-	case p <= 0 || p > 1:
-		b.err = fmt.Errorf("graph: edge ⟨%d,%d⟩ probability %v outside (0,1]", u, v, p)
+	case !validProb(p):
+		b.err = fmt.Errorf("graph: edge ⟨%d,%d⟩ probability %v outside (0,1] as a float32", u, v, p)
 	default:
 		b.us = append(b.us, u)
 		b.vs = append(b.vs, v)
 		b.ps = append(b.ps, float32(p))
 	}
 }
+
+// validProb reports whether p is an edge probability in (0,1] that stays
+// positive when stored as a float32: NaN fails every comparison, and a p
+// below float32's range would be stored as 0.
+func validProb(p float64) bool { return float32(p) > 0 && p <= 1 }
 
 // AddUndirected records the edge in both directions with probability p.
 func (b *Builder) AddUndirected(u, v int32, p float64) {

@@ -122,8 +122,8 @@ func (g *Graph) ApplyWeightedCascade() {
 
 // ApplyUniformProb overwrites every edge probability with p.
 func (g *Graph) ApplyUniformProb(p float64) error {
-	if p <= 0 || p > 1 {
-		return fmt.Errorf("graph: uniform probability %v outside (0,1]", p)
+	if !validProb(p) {
+		return fmt.Errorf("graph: uniform probability %v outside (0,1] as a float32", p)
 	}
 	fp := float32(p)
 	for i := range g.inEdge {

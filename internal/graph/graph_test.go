@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,12 +47,14 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestBuilderErrors(t *testing.T) {
 	cases := []func(*Builder){
-		func(b *Builder) { b.AddEdge(0, 0, 0.5) },   // self loop
-		func(b *Builder) { b.AddEdge(-1, 1, 0.5) },  // negative id
-		func(b *Builder) { b.AddEdge(0, 99, 0.5) },  // out of range
-		func(b *Builder) { b.AddEdge(0, 1, 0) },     // zero prob
-		func(b *Builder) { b.AddEdge(0, 1, 1.001) }, // prob > 1
-		func(b *Builder) { b.AddEdge(0, 1, -0.2) },  // negative prob
+		func(b *Builder) { b.AddEdge(0, 0, 0.5) },        // self loop
+		func(b *Builder) { b.AddEdge(-1, 1, 0.5) },       // negative id
+		func(b *Builder) { b.AddEdge(0, 99, 0.5) },       // out of range
+		func(b *Builder) { b.AddEdge(0, 1, 0) },          // zero prob
+		func(b *Builder) { b.AddEdge(0, 1, 1.001) },      // prob > 1
+		func(b *Builder) { b.AddEdge(0, 1, -0.2) },       // negative prob
+		func(b *Builder) { b.AddEdge(0, 1, math.NaN()) }, // NaN prob
+		func(b *Builder) { b.AddEdge(0, 1, 1e-50) },      // 0 as a float32
 	}
 	for i, inject := range cases {
 		b := NewBuilder(3)
@@ -201,6 +204,9 @@ func TestApplyUniformProb(t *testing.T) {
 	if err := g.ApplyUniformProb(1.5); err == nil {
 		t.Fatal("accepted p>1")
 	}
+	if err := g.ApplyUniformProb(math.NaN()); err == nil {
+		t.Fatal("accepted p=NaN")
+	}
 }
 
 func TestDegreeHistogram(t *testing.T) {
@@ -273,6 +279,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"bad edge line":  "2 1\n0 1 0.5 extra junk\n",
 		"bad prob":       "2 1\n0 1 zebra\n",
 		"self loop":      "2 1\n1 1 0.5\n",
+		"NaN prob":       "3 2\n0 1 NaN\n1 2 0.5\n",
+		"underflow prob": "3 2\n0 1 0.5\n1 2 1e-50\n",
 		"count mismatch": "3 5\n0 1 0.5\n",
 		"empty":          "",
 	}

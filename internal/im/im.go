@@ -47,7 +47,7 @@ type Options struct {
 	Epsilon float64
 	// MaxSets caps each pool (0 = 2^20).
 	MaxSets int64
-	// Workers sizes the sampling engine's worker pool (0 = GOMAXPROCS,
+	// Workers sets the sampling engine's worker count (0 = GOMAXPROCS,
 	// 1 = sequential). The selected seeds are identical for every setting.
 	Workers int
 }

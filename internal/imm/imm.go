@@ -35,7 +35,7 @@ type Options struct {
 	Epsilon float64
 	// MaxSets caps the RR pool as a safety valve (0 = 2^21).
 	MaxSets int64
-	// Workers sizes the sampling engine's worker pool (0 = GOMAXPROCS,
+	// Workers sets the sampling engine's worker count (0 = GOMAXPROCS,
 	// 1 = sequential). The selected seeds are identical for every setting.
 	Workers int
 }

@@ -21,9 +21,10 @@
 // session instead of silently resuming a diverged campaign.
 //
 // A fifth kind, checkpoint, is a pure accelerator over that contract: a
-// periodic snapshot of the state the replay would compute, verified
-// against an actual replay before it is written and pinned to its
-// position in the history by a chained digest (see Checkpoint). Loaders
+// periodic snapshot of the state the replay would compute, pinned to its
+// position in the history by a chained digest (see Checkpoint). That a
+// snapshot equals what a replay computes is checked by the test suite's
+// checkpoint audit, not when the snapshot is written. Loaders
 // replay only the records past the newest trusted checkpoint and fall
 // back to full replay whenever a checkpoint cannot be trusted — a log
 // with every checkpoint ignored replays exactly as before. Store.Compact

@@ -2,6 +2,7 @@ package pq
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -188,7 +189,12 @@ func newCoverageInstance(n, universe int, r *rng.Source) *coverageInstance {
 	inst := &coverageInstance{sets: make([][]int32, n)}
 	for v := range inst.sets {
 		k := 1 + r.Intn(universe/2)
-		inst.sets[v] = r.SampleNoReplace(universe, k, nil)
+		elems := make([]int32, universe)
+		for i := range elems {
+			elems[i] = int32(i)
+		}
+		r.Shuffle(elems)
+		inst.sets[v] = elems[:k]
 	}
 	return inst
 }
@@ -211,9 +217,11 @@ func (c *coverageInstance) commit(covered []bool, v int32) {
 	}
 }
 
-// TestLazyMatchesEagerGreedy checks that CELF lazy-forward selects exactly
-// the same sequence as exhaustive greedy on a submodular coverage
-// function, with strictly fewer (or equal) gain evaluations.
+// TestLazyMatchesEagerGreedy checks that every CELF lazy-forward pick
+// has exactly the gain exhaustive greedy finds over the remaining
+// candidates on a submodular coverage function, with fewer (or equal)
+// gain evaluations. Both score the lazy run's state: two independent runs
+// may break a tie differently and then legitimately diverge.
 func TestLazyMatchesEagerGreedy(t *testing.T) {
 	r := rng.New(7)
 	const n, universe, k = 40, 60, 8
@@ -224,40 +232,27 @@ func TestLazyMatchesEagerGreedy(t *testing.T) {
 		candidates[i] = int32(i)
 	}
 
-	// Eager greedy with deterministic tie-break on smallest id (matches
-	// heap order only if we also tie-break; so compare gains, not ids).
-	eagerCovered := make([]bool, universe)
-	var eagerGains []float64
-	for round := 0; round < k; round++ {
-		g := inst.gain(eagerCovered)
-		best, bestGain := int32(-1), -1.0
-		for _, v := range candidates {
-			if val := g(v); val > bestGain {
-				best, bestGain = v, val
-			}
-		}
-		eagerGains = append(eagerGains, bestGain)
-		inst.commit(eagerCovered, best)
-	}
-
-	lazyCovered := make([]bool, universe)
-	lz, err := NewLazy(n, candidates, inst.gain(lazyCovered))
+	covered := make([]bool, universe)
+	lz, err := NewLazy(n, candidates, inst.gain(covered))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lazyGains []float64
+	remaining := slices.Clone(candidates)
 	for round := 0; round < k; round++ {
-		v, g, ok := lz.Next(inst.gain(lazyCovered))
+		g := inst.gain(covered)
+		eagerGain := -1.0
+		for _, v := range remaining {
+			eagerGain = max(eagerGain, g(v))
+		}
+		v, lazyGain, ok := lz.Next(g)
 		if !ok {
 			t.Fatalf("lazy exhausted at round %d", round)
 		}
-		lazyGains = append(lazyGains, g)
-		inst.commit(lazyCovered, v)
-	}
-	for i := range eagerGains {
-		if math.Abs(eagerGains[i]-lazyGains[i]) > 1e-9 {
-			t.Fatalf("round %d: lazy gain %v != eager gain %v", i, lazyGains[i], eagerGains[i])
+		if math.Abs(eagerGain-lazyGain) > 1e-9 || math.Abs(g(v)-lazyGain) > 1e-9 {
+			t.Fatalf("round %d: lazy picked %d reporting gain %v (true gain %v) != eager gain %v", round, v, lazyGain, g(v), eagerGain)
 		}
+		remaining = slices.DeleteFunc(remaining, func(u int32) bool { return u == v })
+		inst.commit(covered, v)
 	}
 	eagerEvals := int64(n * k)
 	if lz.Evaluations > eagerEvals {

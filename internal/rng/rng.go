@@ -168,48 +168,6 @@ func (r *Source) Shuffle(xs []int32) {
 	}
 }
 
-// SampleNoReplace appends k distinct uniform values from [0, n) to dst and
-// returns the extended slice. It panics if k > n or k < 0.
-//
-// For small k relative to n it uses rejection with a scratch map-free
-// quadratic probe over dst (k is tiny in all callers: mRR root sets);
-// for large k it falls back to a partial Fisher–Yates over an index array.
-func (r *Source) SampleNoReplace(n int, k int, dst []int32) []int32 {
-	if k < 0 || k > n {
-		panic("rng: SampleNoReplace called with k out of range")
-	}
-	if k == 0 {
-		return dst
-	}
-	base := len(dst)
-	// Rejection sampling is near-O(k) when k*k is small compared to n.
-	if k <= 64 || k*k < n {
-		for len(dst)-base < k {
-			c := r.Int31n(int32(n))
-			dup := false
-			for _, prev := range dst[base:] {
-				if prev == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				dst = append(dst, c)
-			}
-		}
-		return dst
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return append(dst, idx[:k]...)
-}
-
 // Exp returns an exponentially distributed value with rate 1, via inverse
 // transform sampling. Used by generators that need heavy-tailed weights.
 func (r *Source) Exp() float64 {

@@ -186,65 +186,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-// TestSampleNoReplaceDistinct is a property test: k distinct in-range
-// values, across both the rejection and Fisher–Yates regimes.
-func TestSampleNoReplaceDistinct(t *testing.T) {
-	r := New(11)
-	if err := quick.Check(func(rawN, rawK uint16) bool {
-		n := int(rawN%500) + 1
-		k := int(rawK) % (n + 1)
-		out := r.SampleNoReplace(n, k, nil)
-		if len(out) != k {
-			return false
-		}
-		seen := map[int32]bool{}
-		for _, v := range out {
-			if v < 0 || int(v) >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSampleNoReplaceFullRange: k = n yields exactly [0, n).
-func TestSampleNoReplaceFullRange(t *testing.T) {
-	r := New(12)
-	out := r.SampleNoReplace(200, 200, nil)
-	seen := make([]bool, 200)
-	for _, v := range out {
-		seen[v] = true
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("value %d missing from full-range sample", i)
-		}
-	}
-}
-
-// TestSampleNoReplaceAppends: dst prefix is preserved.
-func TestSampleNoReplaceAppends(t *testing.T) {
-	r := New(13)
-	dst := []int32{-7}
-	out := r.SampleNoReplace(10, 3, dst)
-	if out[0] != -7 || len(out) != 4 {
-		t.Fatalf("prefix not preserved: %v", out)
-	}
-}
-
-// TestSampleNoReplacePanics on out-of-range k.
-func TestSampleNoReplacePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SampleNoReplace(5, 6, nil) did not panic")
-		}
-	}()
-	New(1).SampleNoReplace(5, 6, nil)
-}
-
 // TestExpMean: Exp() has mean ~1.
 func TestExpMean(t *testing.T) {
 	r := New(14)

@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"asti/internal/bitset"
@@ -124,40 +125,39 @@ type GenStats struct {
 	RngDraws int64
 }
 
-// minParallelSets is the batch size below which the worker pool is not
-// worth the handoff overhead and Generate runs inline. Both paths use the
-// same per-set seeding, so the dispatch decision never changes output.
+// minParallelSets is the batch size below which fanning out is not
+// worth starting goroutines and Generate runs on the caller alone. Both
+// paths use the same per-set seeding, so the dispatch decision never
+// changes output.
 const minParallelSets = 256
 
-// minTaskGrain is the smallest number of sets handed to a pool worker at
-// once.
+// minTaskGrain is the smallest number of sets a worker claims at once.
 const minTaskGrain = 64
 
-// Engine is the shared concurrent mRR/RR sampling engine: one persistent
-// worker pool with per-worker Sampler scratch that every consumer (TRIM,
-// OPIM-C, IMM, ATEUC) drives through Generate. Set i of a batch seeds its
-// private generator as SplitMix64(batchSeed+i), so the stream of generated
-// sets is identical for any worker count — parallelism is purely a speed
-// knob, never a semantics knob.
+// Engine is the shared concurrent mRR/RR sampling engine that every
+// consumer (TRIM, OPIM-C, IMM, ATEUC) drives through Generate, with one
+// Sampler scratch per worker. Set i of a batch seeds its private
+// generator as SplitMix64(batchSeed+i), so the stream of generated sets
+// is identical for any worker count — parallelism is purely a speed
+// knob, never a semantics knob. An Engine holds no goroutines between
+// calls: a large batch runs on the caller plus goroutines that start for
+// that call and are joined before it returns.
 //
 // An Engine is not safe for concurrent use: one goroutine calls Generate
-// at a time (the workers underneath are the engine's own). Close releases
-// the pool; engines dropped without Close are cleaned up by a finalizer.
+// at a time.
 type Engine struct {
 	g       *graph.Graph
 	model   diffusion.Model
 	workers int
 	ver     Version
 
-	inline *workerState // scratch for the sequential path
+	// states[w] is worker w's scratch, built on first use. states[0] is
+	// the caller's: the sequential path and every fan-out run on it.
 	states []*workerState
-	tasks  chan genTask
-	closed bool
 }
 
 // workerState is one worker's private scratch: a Sampler plus reusable
-// output arenas. It deliberately holds no Engine pointer so the pool
-// goroutines never keep an abandoned Engine alive.
+// output arenas.
 type workerState struct {
 	sampler *Sampler
 	out     []int32 // concatenated sets of the current batch
@@ -165,28 +165,10 @@ type workerState struct {
 	rootKs  []int32 // per-set root counts of the current batch
 }
 
-// genTask asks a pool worker for sets [lo, hi) of a batch, each seeded
-// from its pool position (see position).
-type genTask struct {
-	idx      int
-	lo, hi   int
-	seed     uint64
-	base     int64
-	ids      []int32
-	strat    RootStrategy
-	inactive []int32
-	active   *bitset.Set
-	etai     int64
-	results  chan<- taskResult
-	edges    *atomic.Int64
-	draws    *atomic.Int64
-}
-
-// taskResult hands a task's arena segment back to generate. The slices
-// point into the worker's arena and stay valid until the next batch
-// resets it.
+// taskResult is one fan-out task's sets, as segments of the arenas of
+// the worker that ran it; they stay valid until that worker's next batch
+// resets the arenas.
 type taskResult struct {
-	idx    int
 	data   []int32
 	lens   []int32
 	rootKs []int32
@@ -211,13 +193,7 @@ func NewEngineVersion(g *graph.Graph, model diffusion.Model, workers int, ver Ve
 	if ver == 0 {
 		ver = DefaultVersion
 	}
-	return &Engine{
-		g:       g,
-		model:   model,
-		workers: workers,
-		ver:     ver,
-		inline:  newWorkerState(g, model, ver),
-	}
+	return &Engine{g: g, model: model, workers: workers, ver: ver}
 }
 
 // newWorkerState builds one worker's scratch, pre-sizing the output
@@ -248,55 +224,18 @@ func (e *Engine) Workers() int { return e.workers }
 // Version returns the engine's sampler stream contract.
 func (e *Engine) Version() Version { return e.ver }
 
-// Close shuts down the worker pool. Generate must not be called after
-// Close. Close is idempotent but not safe to race with Generate.
-func (e *Engine) Close() {
-	if e.tasks != nil && !e.closed {
-		close(e.tasks)
-		runtime.SetFinalizer(e, nil)
-	}
-	e.closed = true
-}
+// Close drops the engine's scratch, releasing its sampler memory now
+// rather than when the Engine is collected. The engine stays usable: the
+// next Generate rebuilds what it needs. Close is not safe to race with
+// Generate.
+func (e *Engine) Close() { e.states = nil }
 
-// start lazily spins up the persistent pool.
-func (e *Engine) start() {
-	if e.tasks != nil {
-		return
+// scratch returns the first n worker states, building any missing.
+func (e *Engine) scratch(n int) []*workerState {
+	for len(e.states) < n {
+		e.states = append(e.states, newWorkerState(e.g, e.model, e.ver))
 	}
-	e.tasks = make(chan genTask, e.workers*4)
-	e.states = make([]*workerState, e.workers)
-	for w := range e.states {
-		ws := newWorkerState(e.g, e.model, e.ver)
-		e.states[w] = ws
-		go poolWorker(e.tasks, ws)
-	}
-	// Safety net for engines dropped without Close: release the goroutines
-	// when the Engine becomes unreachable (the workers reference only the
-	// channel and their own state, never the Engine).
-	runtime.SetFinalizer(e, (*Engine).Close)
-}
-
-// poolWorker serves generation tasks until the task channel closes.
-func poolWorker(tasks <-chan genTask, ws *workerState) {
-	var src rng.Source
-	for t := range tasks {
-		dataStart, lensStart := len(ws.out), len(ws.lens)
-		edges0, draws0 := ws.sampler.EdgesExamined, ws.sampler.RngDraws
-		// One mask copy up front buys a single-bitset hot loop for the
-		// whole task (see Sampler.PrimeActive); active is nil below.
-		ws.sampler.PrimeActive(t.active)
-		for i := t.lo; i < t.hi; i++ {
-			src.Seed(rng.SplitMix64(t.seed + uint64(position(t.base, t.ids, i))))
-			setStart := len(ws.out)
-			var k int32
-			ws.out, k = generateOne(ws.sampler, t.strat, t.inactive, nil, t.etai, &src, ws.out)
-			ws.lens = append(ws.lens, int32(len(ws.out)-setStart))
-			ws.rootKs = append(ws.rootKs, k)
-		}
-		t.edges.Add(ws.sampler.EdgesExamined - edges0)
-		t.draws.Add(ws.sampler.RngDraws - draws0)
-		t.results <- taskResult{idx: t.idx, data: ws.out[dataStart:], lens: ws.lens[lensStart:], rootKs: ws.rootKs[lensStart:]}
-	}
+	return e.states[:n]
 }
 
 // position returns the pool position of a batch's i-th set, which its
@@ -352,7 +291,7 @@ func (e *Engine) generate(req Request, need int, ids []int32, commit func(i int,
 	}
 	stats := GenStats{Sets: int64(need)}
 	if e.workers == 1 || need < minParallelSets {
-		ws := e.inline
+		ws := e.scratch(1)[0]
 		edges0, draws0 := ws.sampler.EdgesExamined, ws.sampler.RngDraws
 		ws.sampler.PrimeActive(req.Active)
 		var src rng.Source
@@ -385,42 +324,53 @@ func (e *Engine) generate(req Request, need int, ids []int32, commit func(i int,
 	return stats
 }
 
-// fanOut distributes need set generations (fresh positions, or the given
-// stored ids when non-nil) over the worker pool and returns the results in
-// task order plus the examined-edge and stream-draw totals.
+// fanOut generates need sets (fresh positions, or the given stored ids
+// when non-nil) on the caller plus up to workers−1 goroutines started for
+// this call and joined before it returns. The batch is cut into tasks of
+// consecutive sets; each worker claims tasks from an atomic counter and
+// stores each result at its task index, so the results come back in task
+// order whichever worker ran what. It also returns the examined-edge and
+// stream-draw totals.
 func (e *Engine) fanOut(req Request, need int, ids []int32) ([]taskResult, int64, int64) {
-	e.start()
-	// No tasks are in flight between calls, so the arenas the previous
-	// batch handed out can be reclaimed here.
-	for _, ws := range e.states {
-		ws.out = ws.out[:0]
-		ws.lens = ws.lens[:0]
-		ws.rootKs = ws.rootKs[:0]
-	}
-	grain := (need + e.workers*4 - 1) / (e.workers * 4)
-	if grain < minTaskGrain {
-		grain = minTaskGrain
-	}
+	grain := max((need+e.workers*4-1)/(e.workers*4), minTaskGrain)
 	numTasks := (need + grain - 1) / grain
-	results := make(chan taskResult, numTasks)
-	var edges, draws atomic.Int64
-	for ti := 0; ti < numTasks; ti++ {
-		lo := ti * grain
-		hi := lo + grain
-		if hi > need {
-			hi = need
+	results := make([]taskResult, numTasks)
+	var next, edges, draws atomic.Int64
+	work := func(ws *workerState) {
+		// The previous batch's results are committed by now, so the arenas
+		// they pointed into can be reclaimed.
+		ws.out, ws.lens, ws.rootKs = ws.out[:0], ws.lens[:0], ws.rootKs[:0]
+		edges0, draws0 := ws.sampler.EdgesExamined, ws.sampler.RngDraws
+		// One mask copy up front buys a single-bitset hot loop for the
+		// whole batch (see Sampler.PrimeActive); active is nil below.
+		ws.sampler.PrimeActive(req.Active)
+		var src rng.Source
+		for ti := int(next.Add(1) - 1); ti < numTasks; ti = int(next.Add(1) - 1) {
+			lo, hi := ti*grain, min((ti+1)*grain, need)
+			dataStart, lensStart := len(ws.out), len(ws.lens)
+			for i := lo; i < hi; i++ {
+				src.Seed(rng.SplitMix64(req.Seed + uint64(position(req.FirstIndex, ids, i))))
+				setStart := len(ws.out)
+				var k int32
+				ws.out, k = generateOne(ws.sampler, req.Strategy, req.Inactive, nil, req.EtaI, &src, ws.out)
+				ws.lens = append(ws.lens, int32(len(ws.out)-setStart))
+				ws.rootKs = append(ws.rootKs, k)
+			}
+			results[ti] = taskResult{data: ws.out[dataStart:], lens: ws.lens[lensStart:], rootKs: ws.rootKs[lensStart:]}
 		}
-		e.tasks <- genTask{
-			idx: ti, lo: lo, hi: hi,
-			seed: req.Seed, base: req.FirstIndex, ids: ids, strat: req.Strategy,
-			inactive: req.Inactive, active: req.Active, etai: req.EtaI,
-			results: results, edges: &edges, draws: &draws,
-		}
+		edges.Add(ws.sampler.EdgesExamined - edges0)
+		draws.Add(ws.sampler.RngDraws - draws0)
 	}
-	ordered := make([]taskResult, numTasks)
-	for i := 0; i < numTasks; i++ {
-		tr := <-results
-		ordered[tr.idx] = tr
+	states := e.scratch(min(e.workers, numTasks))
+	var wg sync.WaitGroup
+	for _, ws := range states[1:] {
+		wg.Add(1)
+		go func(ws *workerState) {
+			defer wg.Done()
+			work(ws)
+		}(ws)
 	}
-	return ordered, edges.Load(), draws.Load()
+	work(states[0])
+	wg.Wait()
+	return results, edges.Load(), draws.Load()
 }

@@ -1,8 +1,10 @@
 package rrset
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"asti/internal/diffusion"
 	"asti/internal/gen"
@@ -168,6 +170,37 @@ func TestEngineConcurrentEngines(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+}
+
+// TestEngineHoldsNoGoroutines: a fan-out joins the goroutines it starts
+// before Generate returns, so engines left open between calls (a live
+// session's, say) hold none.
+func TestEngineHoldsNoGoroutines(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Name: "idle", N: 1500, AvgDeg: 4, UniformMix: 0.4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]int32, g.N())
+	for i := range nodes {
+		nodes[i] = int32(i)
+	}
+	before := runtime.NumGoroutine()
+	engines := make([]*Engine, 10)
+	for i := range engines {
+		engines[i] = NewEngine(g, diffusion.IC, 4)
+		engines[i].Generate(NewCollection(g), Request{
+			Strategy: MultiRoot(RoundRandomized), Inactive: nodes, EtaI: 30,
+			Count: minParallelSets, Seed: uint64(i),
+		})
+	}
+	// A joined goroutine may take a moment to exit after signalling.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if held := runtime.NumGoroutine() - before; held > 0 {
+		t.Errorf("%d open engines hold %d goroutines between calls", len(engines), held)
+	}
+	runtime.KeepAlive(engines)
 }
 
 // TestCollectionResetMatchesFresh verifies a Reset collection behaves like

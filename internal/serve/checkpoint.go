@@ -36,20 +36,21 @@ type policyCheckpointer interface {
 // journal checkpoint payload (false if the policy cannot checkpoint).
 // Callers hold s.mu.
 func (s *Session) exportCheckpointLocked() (journal.Checkpoint, bool) {
-	pc, ok := s.policy.(policyCheckpointer)
+	c := s.loop
+	pc, ok := c.Policy.(policyCheckpointer)
 	if !ok {
 		return journal.Checkpoint{}, false
 	}
 	cs := pc.ExportCheckpoint()
 	n := s.g.N()
-	active := make([]int32, 0, int(n)-len(s.inactive))
+	active := make([]int32, 0, c.Activated())
 	for v := int32(0); v < n; v++ {
-		if s.active.Get(v) {
+		if c.Active.Get(v) {
 			active = append(active, v)
 		}
 	}
-	rounds := make([]journal.CheckpointRound, len(s.rounds))
-	for i, rt := range s.rounds {
+	rounds := make([]journal.CheckpointRound, len(c.Rounds))
+	for i, rt := range c.Rounds {
 		rounds[i] = journal.CheckpointRound{
 			Seeds: rt.Seeds, Marginal: rt.Marginal,
 			NiBefore: rt.NiBefore, EtaIBefore: rt.EtaIBefore,
@@ -63,15 +64,15 @@ func (s *Session) exportCheckpointLocked() (journal.Checkpoint, bool) {
 		digest = s.restoredPool
 	}
 	return journal.Checkpoint{
-		Round:   len(s.rounds), // committed rounds: a pending batch's round is not one yet
+		Round:   len(c.Rounds), // committed rounds: a pending batch's round is not one yet
 		Done:    s.phase == PhaseDone,
 		Seq:     s.ckpts + 1,
 		Active:  active,
-		Delta:   append([]int32(nil), s.delta...),
-		Seeds:   append([]int32(nil), s.seeds...),
+		Delta:   append([]int32(nil), c.Delta...),
+		Seeds:   append([]int32(nil), c.Seeds...),
 		Pending: slices.Clone(s.pending),
 		Rounds:  rounds,
-		Rng:     s.src.State(),
+		Rng:     c.Rng.State(),
 		Policy: journal.PolicyCheckpoint{
 			RunSeed: cs.RunSeed, LastRound: cs.LastRound, LastNi: cs.LastNi,
 			LastPool: cs.LastPool, Fallbacks: cs.Fallbacks, ReusePool: cs.ReusePool,
@@ -93,7 +94,8 @@ func (s *Session) exportCheckpointLocked() (journal.Checkpoint, bool) {
 // (sampler version, graph signature) are the caller's to check: they
 // need session fields this method is in the middle of establishing.
 func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
-	pc, ok := s.policy.(policyCheckpointer)
+	c := s.loop
+	pc, ok := c.Policy.(policyCheckpointer)
 	if !ok {
 		return errors.New("policy does not support checkpoints")
 	}
@@ -126,8 +128,8 @@ func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
 			return fmt.Errorf("checkpoint pending batch: %w", err)
 		}
 	}
-	if activated := int64(len(ck.Active)); ck.Done != (activated >= s.eta) {
-		return fmt.Errorf("checkpoint done flag inconsistent with %d active nodes (eta %d)", activated, s.eta)
+	if activated := int64(len(ck.Active)); ck.Done != (activated >= c.Eta) {
+		return fmt.Errorf("checkpoint done flag inconsistent with %d active nodes (eta %d)", activated, c.Eta)
 	}
 	if err := pc.RestoreCheckpoint(trim.CheckpointState{
 		RunSeed: ck.Policy.RunSeed, LastRound: ck.Policy.LastRound,
@@ -136,34 +138,34 @@ func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
 	}); err != nil {
 		return err
 	}
-	s.active = active
+	c.Active = active
 	inactive := make([]int32, 0, int(n)-len(ck.Active))
 	for v := int32(0); v < n; v++ {
 		if !active.Get(v) {
 			inactive = append(inactive, v)
 		}
 	}
-	s.inactive = inactive
-	s.delta = append([]int32(nil), ck.Delta...)
-	s.seeds = append([]int32(nil), ck.Seeds...)
-	s.rounds = make([]adaptive.RoundTrace, len(ck.Rounds))
+	c.Inactive = inactive
+	c.Delta = append([]int32(nil), ck.Delta...)
+	c.Seeds = append([]int32(nil), ck.Seeds...)
+	c.Rounds = make([]adaptive.RoundTrace, len(ck.Rounds))
 	for i, rt := range ck.Rounds {
-		s.rounds[i] = adaptive.RoundTrace{
+		c.Rounds[i] = adaptive.RoundTrace{
 			Seeds:    append([]int32(nil), rt.Seeds...),
 			Marginal: rt.Marginal, NiBefore: rt.NiBefore, EtaIBefore: rt.EtaIBefore,
 		}
 	}
-	s.round = ck.Round
+	c.Round = ck.Round
 	s.phase = PhasePropose
 	if ck.Done {
 		s.phase = PhaseDone
 	}
 	if len(ck.Pending) > 0 {
-		s.round++
+		c.Round++
 		s.pending = slices.Clone(ck.Pending)
 		s.phase = PhaseObserve
 	}
-	s.src.SetState(ck.Rng)
+	c.Rng.SetState(ck.Rng)
 	s.restoredPool = ck.PoolDigest
 	s.ckpts = ck.Seq
 	s.lastCkptRound = ck.Round
@@ -176,7 +178,7 @@ func (s *Session) applyCheckpoint(ck journal.Checkpoint) error {
 // session's state: no round committed and no batch proposed since.
 // Callers hold s.mu.
 func (s *Session) checkpointCurrentLocked() bool {
-	return s.lastCkptRound == len(s.rounds) && s.ckptPending == (s.pending != nil)
+	return s.lastCkptRound == len(s.loop.Rounds) && s.ckptPending == (s.pending != nil)
 }
 
 // checkpointLocked appends one checkpoint for the session's current

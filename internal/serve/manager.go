@@ -36,8 +36,9 @@ type Config struct {
 	EtaFrac float64
 	// Epsilon is the approximation slack ε ∈ (0,1) (default 0.5).
 	Epsilon float64
-	// Workers sizes the session's sampling-engine pool: 0 = GOMAXPROCS,
-	// 1 = sequential. Proposals are identical for every setting.
+	// Workers sets the session's sampling-engine worker count:
+	// 0 = GOMAXPROCS, 1 = sequential. Proposals are identical for every
+	// setting.
 	Workers int
 	// MaxSetsPerRound optionally caps the per-round sample pool
 	// (0 = the algorithm's θmax only).
@@ -600,9 +601,9 @@ func createdRecord(cfg Config) journal.Created {
 // configFromRecord is createdRecord's inverse, rebuilding the Config a
 // recovered session was created with.
 func configFromRecord(c journal.Created) (Config, error) {
-	model, err := parseModelName(c.Model)
+	model, err := diffusion.ParseModel(c.Model)
 	if err != nil {
-		return Config{}, err
+		return Config{}, fmt.Errorf("serve: %w", err)
 	}
 	ver := c.SamplerVersion
 	if ver == 0 {
@@ -624,19 +625,6 @@ func configFromRecord(c journal.Created) (Config, error) {
 		SamplerVersion:   ver,
 		Seed:             c.Seed,
 	}, nil
-}
-
-// parseModelName maps a journaled model name back to a diffusion.Model
-// ("" = IC, matching Config's zero value).
-func parseModelName(name string) (diffusion.Model, error) {
-	switch strings.ToUpper(name) {
-	case "", "IC":
-		return diffusion.IC, nil
-	case "LT":
-		return diffusion.LT, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown model %q", name)
-	}
 }
 
 // Session returns the open session with the given id — the *Session

@@ -37,9 +37,10 @@ const (
 	CheckpointRestores
 	// EmergencyCompactions counts disk-full episodes answered with an
 	// on-demand compaction, Poisoned the sessions a final journal
-	// failure closed (fail-stop), Degraded those it switched to
-	// non-durable serving (degrade), and BreakerTrips the
-	// journal-health breaker's closed→open transitions.
+	// failure (fail-stop) or a policy panic closed, Degraded those a
+	// final journal failure switched to non-durable serving (degrade),
+	// and BreakerTrips the journal-health breaker's closed→open
+	// transitions.
 	EmergencyCompactions
 	Poisoned
 	Degraded

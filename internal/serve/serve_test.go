@@ -3,9 +3,12 @@ package serve_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"asti/internal/adaptive"
 	"asti/internal/bitset"
@@ -151,45 +154,105 @@ func TestSyntheticRegistryNames(t *testing.T) {
 
 // TestSessionMatchesAdaptiveRun is the session determinism contract: the
 // split NextBatch/Observe loop fed φ's observations must reproduce
-// adaptive.Run on the same φ and seed exactly, seed for seed.
+// adaptive.Run on the same φ and seed exactly, seed for seed, for TRIM
+// and TRIM-B under both models.
 func TestSessionMatchesAdaptiveRun(t *testing.T) {
 	g := testGraph(t)
 	eta := int64(float64(g.N()) * 0.1)
 	const seed = 7
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		for _, batch := range []int{1, 3} {
+			cfg := trim.Config{Epsilon: 0.5, Batch: batch, Truncated: true}
+			t.Run(trim.MustNew(cfg).Name()+"/"+model.String(), func(t *testing.T) {
+				φ := diffusion.SampleRealization(g, model, rng.New(99))
+				pol := trim.MustNew(cfg)
+				want, err := adaptive.Run(g, model, eta, pol, φ, rng.New(seed))
+				pol.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	φ := diffusion.SampleRealization(g, diffusion.IC, rng.New(99))
-	pol := trim.MustNew(trim.Config{Epsilon: 0.5, Batch: 1, Truncated: true})
-	want, err := adaptive.Run(g, diffusion.IC, eta, pol, φ, rng.New(seed))
-	pol.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+				s, err := serve.NewSession(g, model, eta, trim.MustNew(cfg), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				got := drive(t, s, φ)
 
-	pol2 := trim.MustNew(trim.Config{Epsilon: 0.5, Batch: 1, Truncated: true})
-	s, err := serve.NewSession(g, diffusion.IC, eta, pol2, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	got := drive(t, s, φ)
-
-	if fmt.Sprint(got) != fmt.Sprint(want.Seeds) {
-		t.Errorf("session seeds %v != adaptive.Run seeds %v", got, want.Seeds)
-	}
-	res := s.Result()
-	if res.Spread != want.Spread || !res.ReachedEta {
-		t.Errorf("session spread %d reached=%v, want %d reached=true",
-			res.Spread, res.ReachedEta, want.Spread)
-	}
-	if len(res.Rounds) != len(want.Rounds) {
-		t.Fatalf("session rounds %d != adaptive rounds %d", len(res.Rounds), len(want.Rounds))
-	}
-	for i := range res.Rounds {
-		if res.Rounds[i].Marginal != want.Rounds[i].Marginal ||
-			res.Rounds[i].NiBefore != want.Rounds[i].NiBefore ||
-			res.Rounds[i].EtaIBefore != want.Rounds[i].EtaIBefore {
-			t.Errorf("round %d trace %+v != %+v", i, res.Rounds[i], want.Rounds[i])
+				if fmt.Sprint(got) != fmt.Sprint(want.Seeds) {
+					t.Errorf("session seeds %v != adaptive.Run seeds %v", got, want.Seeds)
+				}
+				res := s.Result()
+				if res.Spread != want.Spread || !res.ReachedEta {
+					t.Errorf("session spread %d reached=%v, want %d reached=true",
+						res.Spread, res.ReachedEta, want.Spread)
+				}
+				if len(res.Rounds) != len(want.Rounds) {
+					t.Fatalf("session rounds %d != adaptive rounds %d", len(res.Rounds), len(want.Rounds))
+				}
+				for i := range res.Rounds {
+					if res.Rounds[i].Marginal != want.Rounds[i].Marginal ||
+						res.Rounds[i].NiBefore != want.Rounds[i].NiBefore ||
+						res.Rounds[i].EtaIBefore != want.Rounds[i].EtaIBefore {
+						t.Errorf("round %d trace %+v != %+v", i, res.Rounds[i], want.Rounds[i])
+					}
+				}
+			})
 		}
+	}
+}
+
+// panicPolicy panics on every selection.
+type panicPolicy struct{}
+
+func (panicPolicy) Name() string { return "panics" }
+
+func (panicPolicy) SelectBatch(*adaptive.State) ([]int32, error) { panic("policy bug") }
+
+// TestPolicyPanicPoisonsSession: a panic inside the policy closes the
+// session the way a lost journal does. The step's error wraps ErrClosed
+// (410 over HTTP) and names the panic, the round is not counted, and
+// every later step is refused.
+func TestPolicyPanicPoisonsSession(t *testing.T) {
+	s, err := serve.NewSession(testGraph(t), diffusion.IC, 10, panicPolicy{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Propose(); !errors.Is(err, serve.ErrClosed) || !strings.Contains(err.Error(), "policy bug") {
+		t.Fatalf("Propose after a policy panic: %v, want ErrClosed naming the panic", err)
+	}
+	st := s.Status()
+	if st.Phase != "closed" || st.Round != 0 || !strings.Contains(st.LastFailure, "policy bug") {
+		t.Fatalf("status after a policy panic: phase %q round %d last_failure %q", st.Phase, st.Round, st.LastFailure)
+	}
+	if _, err := s.Propose(); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("second Propose: %v, want ErrClosed", err)
+	}
+}
+
+// TestSteppedSessionsHoldNoGoroutines: a session whose first proposal
+// fanned its sampling out over the default worker count holds no
+// goroutines once the step returns.
+func TestSteppedSessionsHoldNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	mgr := serve.NewManager(testRegistry(t), 0)
+	defer mgr.CloseAll()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		s, err := mgr.Create(serve.Config{Dataset: "test", Policy: "ASTI-8", EtaFrac: 0.1, Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.NextBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A joined goroutine may take a moment to exit after signalling.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if held := runtime.NumGoroutine() - before; held > 0 {
+		t.Errorf("10 stepped sessions hold %d goroutines", held)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"asti/internal/adaptive"
-	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/graph"
 	"asti/internal/journal"
@@ -93,8 +92,6 @@ type Session struct {
 	dataset    string
 	samplerVer int // resolved sampler stream contract (0 for NewSession-built sessions)
 	g          *graph.Graph
-	model      diffusion.Model
-	eta        int64
 	jw         *journal.Writer // nil for in-memory sessions (and during replay)
 	store      *journal.Store  // set with jw; lets a passivated session reopen its log
 	mgr        *Manager        // owning manager (nil for NewSession-built sessions)
@@ -105,9 +102,8 @@ type Session struct {
 	// status is the snapshot the last change published, read without
 	// s.mu; touched is the last client call (Propose/Observe/manager
 	// lookup) in Unix nanoseconds.
-	status     atomic.Pointer[Status]
-	touched    atomic.Int64
-	selectTime time.Duration
+	status  atomic.Pointer[Status]
+	touched atomic.Int64
 
 	// Checkpointing (journaled sessions only). ckptEvery is the manager's
 	// interval in committed rounds (0 = off); compactOn arms log
@@ -134,21 +130,17 @@ type Session struct {
 	passivations int
 }
 
-// campaign is the state Algorithm 1's loop derives from the session's
-// observation history: the policy and its randomness, the loop position,
-// the residual graph and the committed rounds. Passivation releases it;
-// a restore adopts the campaign of a session rebuilt from the journal.
+// campaign is the state the session derives from its observation
+// history: Algorithm 1's loop (policy, randomness, residual graph,
+// committed rounds, selection clock), the phase with the batch awaiting
+// observation, and the journal position. Passivation releases it but for
+// the selection clock; a restore adopts the campaign of a session rebuilt
+// from the journal. The loop is a named field, not an embedded one, so
+// its Commit never becomes a Session method that skips the journal.
 type campaign struct {
-	policy   adaptive.Policy
-	src      *rng.Source
-	phase    Phase
-	round    int
-	active   *bitset.Set
-	inactive []int32
-	delta    []int32 // nodes the last observation removed from inactive
-	pending  []int32
-	seeds    []int32
-	rounds   []adaptive.RoundTrace
+	loop    *adaptive.Campaign
+	phase   Phase
+	pending []int32
 
 	// histDigest chains CRC32-C over every record payload appended to (or
 	// recovered from) the log — the position pin a checkpoint stores so
@@ -169,30 +161,11 @@ type campaign struct {
 // becomes owned by the session (sessions must not share one) and its
 // sampling randomness derives from seed alone. The graph is only read.
 func NewSession(g *graph.Graph, model diffusion.Model, eta int64, policy adaptive.Policy, seed uint64) (*Session, error) {
-	if g == nil {
-		return nil, errors.New("serve: nil graph")
+	loop, err := adaptive.NewCampaign(g, model, eta, policy, rng.New(seed))
+	if err != nil {
+		return nil, err
 	}
-	if !model.Valid() {
-		return nil, errors.New("serve: unknown diffusion model")
-	}
-	if eta < 1 || eta > int64(g.N()) {
-		return nil, fmt.Errorf("serve: eta %d outside [1, n=%d]", eta, g.N())
-	}
-	if policy == nil {
-		return nil, errors.New("serve: nil policy")
-	}
-	adaptive.ResetPolicy(policy)
-	n := int(g.N())
-	inactive := make([]int32, n)
-	for i := range inactive {
-		inactive[i] = int32(i)
-	}
-	s := &Session{g: g, model: model, eta: eta, campaign: campaign{
-		policy:   policy,
-		src:      rng.New(seed),
-		active:   bitset.New(n),
-		inactive: inactive,
-	}}
+	s := &Session{g: g, campaign: campaign{loop: loop}}
 	s.touch()
 	s.publishLocked()
 	return s, nil
@@ -240,52 +213,43 @@ func (s *Session) Propose() (Proposal, error) {
 	case PhaseObserve:
 		return Proposal{}, ErrBatchPending
 	}
-	s.round++
-	st := &adaptive.State{
-		G:        s.g,
-		Model:    s.model,
-		Eta:      s.eta,
-		Active:   s.active,
-		Inactive: s.inactive,
-		Delta:    s.delta,
-		Round:    s.round,
-		Rng:      s.src,
-	}
-	t0 := time.Now()
-	batch, err := s.policy.SelectBatch(st)
-	s.selectTime += time.Since(t0)
+	batch, err := s.selectLocked()
 	if err != nil {
-		s.round--
-		return Proposal{}, fmt.Errorf("serve: round %d: %w", s.round+1, err)
+		return Proposal{}, err
 	}
-	if len(batch) == 0 {
-		s.round--
-		return Proposal{}, adaptive.ErrNoProgress
-	}
-	if err := adaptive.ValidateBatch(s.g, s.active, batch); err != nil {
-		s.round--
-		return Proposal{}, fmt.Errorf("serve: round %d: %w", s.round+1, err)
-	}
+	round := s.loop.Round
 	// Write-ahead commit: the proposal is journaled (and fsynced) before
 	// the session acknowledges it, so a killed process can replay it.
 	if s.jw != nil {
-		frame, err := journal.Marshal(journal.TypeProposed, journal.Proposed{Round: s.round, Seeds: batch})
+		frame, err := journal.Marshal(journal.TypeProposed, journal.Proposed{Round: round, Seeds: batch})
 		if err != nil {
-			s.round--
-			return Proposal{}, fmt.Errorf("serve: round %d: %w", s.round+1, err)
+			s.loop.Round--
+			return Proposal{}, fmt.Errorf("serve: round %d: %w", round, err)
 		}
 		if err := s.commitFrameLocked(frame); err != nil {
 			return Proposal{}, err
 		}
 	}
-	s.pending = append([]int32(nil), batch...)
+	s.pending = batch
 	s.phase = PhaseObserve
-	out := make([]int32, len(batch))
-	copy(out, batch)
 	if !s.replaying {
 		s.mgr.add(Proposals, 1)
 	}
-	return Proposal{Round: s.round, Seeds: out}, nil
+	return Proposal{Round: round, Seeds: slices.Clone(batch)}, nil
+}
+
+// selectLocked runs the loop's proposal step. A panic inside the policy
+// poisons the session, as a lost journal does: what the half-run
+// selection left behind is unknown, so the session closes and the error
+// wraps ErrClosed. The round is not counted either way. Callers hold
+// s.mu.
+func (s *Session) selectLocked() (batch []int32, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = s.failLocked(fmt.Errorf("%w: round %d: policy panicked: %v", ErrClosed, s.loop.Round+1, r))
+		}
+	}()
+	return s.loop.Propose()
 }
 
 // Progress reports the session state after an observation.
@@ -326,7 +290,7 @@ func (s *Session) Observe(activated []int32) (Progress, error) {
 	}
 	for _, v := range activated {
 		if v < 0 || v >= s.g.N() {
-			return Progress{}, fmt.Errorf("serve: round %d: observed node %d outside [0, n=%d)", s.round, v, s.g.N())
+			return Progress{}, fmt.Errorf("serve: round %d: observed node %d outside [0, n=%d)", s.loop.Round, v, s.g.N())
 		}
 	}
 	// Write-ahead commit: the observation — the session's only
@@ -339,41 +303,25 @@ func (s *Session) Observe(activated []int32) (Progress, error) {
 		// client chooses to resend each round.
 		fresh := make([]int32, 0, len(activated))
 		for _, v := range activated {
-			if !s.active.Get(v) {
+			if !s.loop.Active.Get(v) {
 				fresh = append(fresh, v)
 			}
 		}
-		frame, err := journal.Marshal(journal.TypeObserved, journal.Observed{Round: s.round, Activated: fresh})
+		frame, err := journal.Marshal(journal.TypeObserved, journal.Observed{Round: s.loop.Round, Activated: fresh})
 		if err != nil {
 			// Encoding failed before anything touched disk: the session
 			// state is untouched and the session stays serviceable — this
 			// is the caller's oversized record, not a broken log.
-			return Progress{}, fmt.Errorf("serve: round %d: %w", s.round, err)
+			return Progress{}, fmt.Errorf("serve: round %d: %w", s.loop.Round, err)
 		}
 		if err := s.commitFrameLocked(frame); err != nil {
 			return Progress{}, err
 		}
 	}
-	before := s.activatedLocked()
-	niBefore := int64(len(s.inactive))
-	for _, v := range s.pending {
-		s.active.Set(v)
-	}
-	for _, v := range activated {
-		s.active.Set(v)
-	}
-	s.inactive, s.delta = adaptive.CompactInactive(s.inactive, s.active)
-	newly := s.activatedLocked() - before
-	s.seeds = append(s.seeds, s.pending...)
-	s.rounds = append(s.rounds, adaptive.RoundTrace{
-		Seeds:      s.pending,
-		Marginal:   newly,
-		NiBefore:   niBefore,
-		EtaIBefore: s.eta - before,
-	})
+	newly := s.loop.Commit(s.pending, activated)
 	s.pending = nil
 	s.phase = PhasePropose
-	if s.activatedLocked() >= s.eta {
+	if s.loop.EtaI() <= 0 {
 		s.phase = PhaseDone
 	}
 	// Checkpoint on interval boundaries and at campaign completion, so a
@@ -381,7 +329,7 @@ func (s *Session) Observe(activated []int32) (Progress, error) {
 	// with nothing to replay. The observation above is already durable, so
 	// a skipped or failed checkpoint never loses a transition — it only
 	// costs replay time.
-	if s.jw != nil && s.ckptEvery > 0 && (s.round%s.ckptEvery == 0 || s.phase == PhaseDone) {
+	if s.jw != nil && s.ckptEvery > 0 && (s.loop.Round%s.ckptEvery == 0 || s.phase == PhaseDone) {
 		if err := s.checkpointLocked(); err != nil {
 			// Append/reopen failure under fail-stop: the session is poisoned
 			// (write-ahead contract), but the observation itself was committed
@@ -446,8 +394,9 @@ type Status struct {
 	// ("" unless Degraded).
 	DegradeReason string
 	// LastFailure is the most recent final journal failure the session
-	// saw, whichever durability policy handled it ("" if none). For a
-	// poisoned (fail-stop) session this is why it closed.
+	// saw, whichever durability policy handled it, or the policy panic
+	// that closed it ("" if none). For a poisoned session this is why it
+	// closed.
 	LastFailure string
 	// Passivations counts how many times an idle sweep passivated this
 	// session (carried across reactivations and reported even while the
@@ -499,7 +448,7 @@ func (s *Session) publishLocked() {
 // passivated) keeps the figures published before its release. Pending
 // shares the batch, which is never modified in place.
 func (s *Session) statusLocked() Status {
-	if s.policy == nil {
+	if s.loop.Policy == nil {
 		st := *s.status.Load()
 		st.Phase, st.Passivations, st.LastFailure, st.PoolBytes = s.phase.String(), s.passivations, s.lastFailure, 0
 		return st
@@ -508,14 +457,14 @@ func (s *Session) statusLocked() Status {
 		ID:                  s.id,
 		Dataset:             s.dataset,
 		SamplerVersion:      s.samplerVer,
-		Policy:              s.policy.Name(),
-		Model:               s.model.String(),
+		Policy:              s.loop.Policy.Name(),
+		Model:               s.loop.Model.String(),
 		N:                   int64(s.g.N()),
-		Eta:                 s.eta,
+		Eta:                 s.loop.Eta,
 		Phase:               s.phase.String(),
-		Round:               s.round,
-		Seeds:               len(s.seeds),
-		Activated:           s.activatedLocked(),
+		Round:               s.loop.Round,
+		Seeds:               len(s.loop.Seeds),
+		Activated:           s.loop.Activated(),
 		Done:                s.phase == PhaseDone,
 		Durable:             s.jw != nil,
 		Degraded:            s.degraded,
@@ -525,20 +474,17 @@ func (s *Session) statusLocked() Status {
 		Checkpoints:         s.ckpts,
 		LastCheckpointRound: s.lastCkptRound,
 		PoolBytes:           s.poolBytesLocked(),
-		SelectSeconds:       s.selectTime.Seconds(),
+		SelectSeconds:       s.loop.SelectTime.Seconds(),
 		Pending:             s.pending,
 	}
-	st.EtaI = s.eta - st.Activated
-	if st.EtaI < 0 {
-		st.EtaI = 0
-	}
+	st.EtaI = max(s.loop.EtaI(), 0)
 	return st
 }
 
 // poolBytesLocked estimates the policy's sampling-pool memory (0 when
 // the policy does not account for itself); callers hold s.mu.
 func (s *Session) poolBytesLocked() int64 {
-	if p, ok := s.policy.(interface{ PoolBytes() int64 }); ok {
+	if p, ok := s.loop.Policy.(interface{ PoolBytes() int64 }); ok {
 		return p.PoolBytes()
 	}
 	return 0
@@ -556,16 +502,16 @@ func (s *Session) Result() *adaptive.Result {
 	st := s.statusLocked()
 	return &adaptive.Result{
 		Policy:     st.Policy,
-		Seeds:      slices.Clone(s.seeds),
-		Rounds:     slices.Clone(s.rounds),
+		Seeds:      slices.Clone(s.loop.Seeds),
+		Rounds:     slices.Clone(s.loop.Rounds),
 		Spread:     st.Activated,
-		ReachedEta: st.Activated >= s.eta,
-		Duration:   s.selectTime,
+		ReachedEta: st.Activated >= st.Eta,
+		Duration:   s.loop.SelectTime,
 	}
 }
 
 // Close ends the campaign for good: it releases the session's policy
-// resources (the sampling-engine worker pool for TRIM-family policies)
+// resources (the sampling engine's scratch for TRIM-family policies)
 // and, for journaled sessions, appends the closed record so recovery
 // never resurrects the session. Close is idempotent; NextBatch and
 // Observe return ErrClosed afterwards, while Status and Result keep
@@ -624,7 +570,7 @@ func (s *Session) closeSession(mark bool) {
 		}
 		s.jw = nil
 	}
-	if c, ok := s.policy.(interface{ Close() }); ok {
+	if c, ok := s.loop.Policy.(interface{ Close() }); ok {
 		c.Close()
 	}
 	s.publishLocked()
@@ -647,7 +593,7 @@ func (s *Session) commitFrameLocked(frame []byte) error {
 		}
 	}
 	if err != nil {
-		return s.journalFailureLocked(fmt.Errorf("serve: round %d: %w", s.round, err))
+		return s.journalFailureLocked(fmt.Errorf("serve: round %d: %w", s.loop.Round, err))
 	}
 	s.histDigest = journal.DigestFrame(s.histDigest, frame)
 	return nil
@@ -717,11 +663,11 @@ func (s *Session) journalFailureLocked(err error) error {
 	return s.failLocked(err)
 }
 
-// failLocked poisons the session after a journal append failure: the
-// write-ahead contract ("journaled before acknowledged") cannot hold
+// failLocked poisons the session after a journal append failure (the
+// write-ahead contract, "journaled before acknowledged", cannot hold
 // anymore, so instead of serving acknowledgements that would not survive
-// a crash, the session closes. The cause is recorded for Status and the
-// manager's poisoned counter. Callers hold s.mu; the wrapped error is
+// a crash, the session closes) or a policy panic. The cause is recorded
+// for Status and the manager's poisoned counter. Callers hold s.mu; the wrapped error is
 // returned for relaying.
 func (s *Session) failLocked(err error) error {
 	s.lastFailure = err.Error()
@@ -732,7 +678,7 @@ func (s *Session) failLocked(err error) error {
 		_ = s.jw.Close()
 		s.jw = nil
 	}
-	if c, ok := s.policy.(interface{ Close() }); ok {
+	if c, ok := s.loop.Policy.(interface{ Close() }); ok {
 		c.Close()
 	}
 	s.mgr.add(Poisoned, 1)
@@ -784,10 +730,10 @@ func (s *Session) passivate(now time.Time, minIdle time.Duration) (ok bool, rele
 	//asm:errclass-ok every committed frame is already fsynced, and a close error on a writer the session is dropping changes nothing it can report
 	_ = s.jw.Close()
 	s.jw = nil
-	if c, ok := s.policy.(interface{ Close() }); ok {
+	if c, ok := s.loop.Policy.(interface{ Close() }); ok {
 		c.Close()
 	}
-	s.campaign = campaign{phase: PhasePassivated}
+	s.campaign = campaign{loop: &adaptive.Campaign{SelectTime: s.loop.SelectTime}, phase: PhasePassivated}
 	return true, released, nil
 }
 
@@ -818,6 +764,7 @@ func (s *Session) restoreLocked() error {
 	if err != nil {
 		return fmt.Errorf("%w %s: %w", ErrRestoreFailed, s.id, err)
 	}
+	fresh.loop.SelectTime = s.loop.SelectTime
 	s.campaign, s.jw = fresh.campaign, fresh.jw
 	s.mgr.add(Reactivations, 1)
 	s.mgr.add(Passivated, -1)
@@ -839,23 +786,13 @@ func (s *Session) publish() {
 	s.publishLocked()
 }
 
-// activatedLocked returns the active-node count; callers hold s.mu.
-func (s *Session) activatedLocked() int64 {
-	return int64(s.g.N()) - int64(len(s.inactive))
-}
-
 // progressLocked builds a Progress snapshot; callers hold s.mu.
 func (s *Session) progressLocked(newly int64) Progress {
-	act := s.activatedLocked()
-	etaI := s.eta - act
-	if etaI < 0 {
-		etaI = 0
-	}
 	return Progress{
-		Round:          s.round,
+		Round:          s.loop.Round,
 		NewlyActivated: newly,
-		Activated:      act,
-		EtaI:           etaI,
+		Activated:      s.loop.Activated(),
+		EtaI:           max(s.loop.EtaI(), 0),
 		Done:           s.phase == PhaseDone,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"asti/internal/adaptive"
-	"asti/internal/bitset"
 	"asti/internal/diffusion"
 	"asti/internal/gen"
 	"asti/internal/graph"
@@ -34,32 +33,18 @@ func benchGraphOnce(b *testing.B) *graph.Graph {
 // It returns the flattened seed sequence.
 func runScriptedRounds(b testing.TB, pol *Policy, g *graph.Graph, eta int64, rounds int) []int32 {
 	b.Helper()
-	adaptive.ResetPolicy(pol)
-	n := int(g.N())
-	active := bitset.New(n)
-	inactive := make([]int32, n)
-	for i := range inactive {
-		inactive[i] = int32(i)
+	c, err := adaptive.NewCampaign(g, diffusion.IC, eta, pol, rng.New(99))
+	if err != nil {
+		b.Fatal(err)
 	}
-	st := &adaptive.State{
-		G: g, Model: diffusion.IC, Eta: eta,
-		Active: active, Inactive: inactive,
-		Rng: rng.New(99),
-	}
-	var seeds []int32
-	for r := 1; r <= rounds; r++ {
-		st.Round = r
-		batch, err := pol.SelectBatch(st)
+	for range rounds {
+		batch, err := c.Propose()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, v := range batch {
-			active.Set(v)
-		}
-		seeds = append(seeds, batch...)
-		st.Inactive, st.Delta = adaptive.CompactInactive(st.Inactive, active)
+		c.Commit(batch, nil)
 	}
-	return seeds
+	return c.Seeds
 }
 
 // BenchmarkSelectBatch measures the per-round cost of the TRIM hot path

@@ -67,7 +67,6 @@ func TestNameDerivation(t *testing.T) {
 		{Config{Epsilon: 0.5, Batch: 1, Truncated: true}, "ASTI"},
 		{Config{Epsilon: 0.5, Batch: 4, Truncated: true}, "ASTI-4"},
 		{Config{Epsilon: 0.5, Batch: 1, Truncated: false}, "AdaptIM"},
-		{Config{Epsilon: 0.5, Batch: 1, Truncated: true, NameOverride: "X"}, "X"},
 	}
 	for _, tc := range cases {
 		if got := MustNew(tc.cfg).Name(); got != tc.want {

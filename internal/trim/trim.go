@@ -16,9 +16,9 @@
 // paper's claimed mechanism — truncation shrinks the required sample size
 // from ∝ n_i/OPT′_i to ∝ η_i/OPT_i.
 //
-// All sampling routes through the shared rrset.Engine: one persistent
-// worker pool with deterministic per-set seeding, so the selected seeds
-// are identical for every Workers setting.
+// All sampling routes through the shared rrset.Engine, whose
+// deterministic per-set seeding keeps the selected seeds identical for
+// every Workers setting.
 package trim
 
 import (
@@ -63,7 +63,7 @@ type Config struct {
 	// MaxSetsPerRound optionally caps the mRR pool per round (0 = the
 	// paper's θmax only). Benchmarks use it to bound worst-case memory.
 	MaxSetsPerRound int64
-	// Workers sizes the sampling engine's worker pool: 0 uses GOMAXPROCS,
+	// Workers sets the sampling engine's worker count: 0 uses GOMAXPROCS,
 	// 1 stays on the calling goroutine, n > 1 uses n workers. Selections
 	// are identical for every setting (the engine seeds each set
 	// independently), so parallelism is purely a speed knob.
@@ -92,8 +92,6 @@ type Config struct {
 	// distributed across versions; only the stream layout (and speed)
 	// differs.
 	SamplerVersion rrset.Version
-	// NameOverride replaces the derived policy name when non-empty.
-	NameOverride string
 }
 
 // Stats aggregates instrumentation across every round the policy served.
@@ -131,15 +129,14 @@ type Stats struct {
 }
 
 // Policy is a TRIM/TRIM-B adaptive policy. One value may serve many runs
-// sequentially (not concurrently); Reset — which every host loop applies
-// through adaptive.ResetPolicy — clears the cross-round pool state so each
-// run starts a fresh campaign.
+// sequentially (not concurrently); Reset — which adaptive.NewCampaign
+// applies — clears the cross-round pool state so each run starts a fresh
+// campaign.
 type Policy struct {
 	cfg  Config
 	name string
 	// engine is the shared sampling engine, created lazily for the run's
-	// graph/model and reused (with its worker pool and scratch) across
-	// rounds.
+	// graph/model and reused (with its scratch) across rounds.
 	engine *rrset.Engine
 	// coll is the reusable mRR pool: Reset in O(touched) each round, or —
 	// with ReusePool — pruned and topped up across rounds.
@@ -186,16 +183,14 @@ func New(cfg Config) (*Policy, error) {
 	if !cfg.SamplerVersion.Valid() {
 		return nil, fmt.Errorf("trim: unknown sampler version %d", cfg.SamplerVersion)
 	}
-	name := cfg.NameOverride
-	if name == "" {
-		switch {
-		case !cfg.Truncated:
-			name = "AdaptIM"
-		case cfg.Batch == 1:
-			name = "ASTI"
-		default:
-			name = fmt.Sprintf("ASTI-%d", cfg.Batch)
-		}
+	var name string
+	switch {
+	case !cfg.Truncated:
+		name = "AdaptIM"
+	case cfg.Batch == 1:
+		name = "ASTI"
+	default:
+		name = fmt.Sprintf("ASTI-%d", cfg.Batch)
 	}
 	return &Policy{cfg: cfg, name: name}, nil
 }
@@ -219,11 +214,8 @@ func (p *Policy) Config() Config { return p.cfg }
 // round).
 func (p *Policy) Engine() *rrset.Engine { return p.engine }
 
-// Close releases the policy's sampling engine (worker pool). The policy
-// may be used again afterwards — the next round recreates the engine.
-// Engines of policies dropped without Close are reclaimed by a finalizer;
-// Close just makes the release deterministic for callers that churn
-// through many policies.
+// Close releases the policy's sampling engine and pool. The policy may be
+// used again afterwards — the next round recreates the engine.
 func (p *Policy) Close() {
 	if p.engine != nil {
 		p.engine.Close()
@@ -234,9 +226,8 @@ func (p *Policy) Close() {
 }
 
 // Reset clears cross-run state (the carried pool and run-seed bookkeeping)
-// so the next SelectBatch starts a fresh campaign. Host loops invoke it
-// through adaptive.ResetPolicy; instrumentation and the sampling engine
-// survive.
+// so the next SelectBatch starts a fresh campaign. adaptive.NewCampaign
+// invokes it; instrumentation and the sampling engine survive.
 func (p *Policy) Reset() {
 	p.lastRound, p.lastNi, p.lastPool, p.fallbacks = 0, 0, 0, 0
 	if p.coll != nil {

@@ -49,7 +49,6 @@ func TestNames(t *testing.T) {
 		{Config{Epsilon: 0.5, Batch: 1, Truncated: true}, "ASTI"},
 		{Config{Epsilon: 0.5, Batch: 8, Truncated: true}, "ASTI-8"},
 		{Config{Epsilon: 0.5, Batch: 1, Truncated: false}, "AdaptIM"},
-		{Config{Epsilon: 0.5, Batch: 1, Truncated: true, NameOverride: "X"}, "X"},
 	} {
 		if got := MustNew(tc.cfg).Name(); got != tc.want {
 			t.Errorf("Name() = %q, want %q", got, tc.want)
