@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
 	"asti/internal/adaptive"
@@ -70,6 +71,16 @@ func TestPageRankPolicySkipsActivated(t *testing.T) {
 	}
 	if batch[0] == 0 {
 		t.Fatal("policy selected an already-active node")
+	}
+}
+
+// TestDegreeDiscountPolicyRejectsNaN: a NaN probability is an error from
+// the round, not a ranking.
+func TestDegreeDiscountPolicyRejectsNaN(t *testing.T) {
+	g := gen.Line(6, 0.5)
+	p := &DegreeDiscountPolicy{P: math.NaN()}
+	if batch, err := p.SelectBatch(newState(g, diffusion.IC, 3, rng.New(1))); err == nil {
+		t.Fatalf("p = NaN selected %v, want an error", batch)
 	}
 }
 

@@ -138,7 +138,7 @@ func DegreeDiscountIC(g *graph.Graph, k int, p float64, mask func(int32) bool) (
 	if k < 1 {
 		return nil, fmt.Errorf("centrality: k %d < 1", k)
 	}
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("centrality: probability %v outside (0,1]", p)
 	}
 	n := g.N()

@@ -186,6 +186,9 @@ func TestDegreeDiscountValidation(t *testing.T) {
 	if _, err := DegreeDiscountIC(g, 1, 1.2, nil); err == nil {
 		t.Error("p>1 accepted")
 	}
+	if _, err := DegreeDiscountIC(g, 1, math.NaN(), nil); err == nil {
+		t.Error("p=NaN accepted")
+	}
 	if _, err := DegreeDiscountIC(g, 1, 0.5, func(int32) bool { return false }); err == nil {
 		t.Error("empty candidate set accepted")
 	}

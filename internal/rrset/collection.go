@@ -267,9 +267,15 @@ func (c *Collection) IndexOf(v int32) []int32 {
 
 // buildIndex (re)builds the CSR inverted index over the stored sets. It
 // runs at most once per batch of mutations — consumers query only after
-// one — so the flat two-pass build replaces per-set slice appends on
-// every node.
+// one — so the flat build replaces per-set slice appends on every node.
+// Node v's entry count is Λ_R(v), the number of stored sets containing
+// it, so one fill pass over the arena suffices. Like Prune, it panics on
+// a collection holding counts-only sets, which Λ_R counts but the arena
+// does not hold.
 func (c *Collection) buildIndex() {
+	if c.count != c.stored() {
+		panic("rrset: index on a counts-only collection")
+	}
 	if c.idxBuilt == c.stored() {
 		return
 	}
@@ -277,19 +283,13 @@ func (c *Collection) buildIndex() {
 		c.idxOff = make([]int64, c.n+1)
 	}
 	c.idxOff = c.idxOff[:c.n+1]
-	for i := range c.idxOff {
-		c.idxOff[i] = 0
-	}
-	// Pass 1: counts shifted by one so pass 2 can bump in place.
-	live := c.data.used - c.dead
-	for id := 0; id < c.stored(); id++ {
-		for _, v := range c.Set(int32(id)) {
-			c.idxOff[v+1]++
-		}
-	}
+	// Counts shifted by one so the fill pass can bump the offsets in place.
+	c.idxOff[0] = 0
+	copy(c.idxOff[1:], c.cov)
 	for v := int32(0); v < c.n; v++ {
 		c.idxOff[v+1] += c.idxOff[v]
 	}
+	live := c.idxOff[c.n]
 	if int64(cap(c.idxSets)) < live {
 		c.idxSets = make([]int32, live)
 	}
@@ -392,8 +392,13 @@ func (c *Collection) ArgmaxCoverage(candidates []int32) (best int32, cov int64) 
 // scale 0.2–0.25, mRR and single-root, 20k–100k sets) on a two-core
 // x86-64 VM: a scan pass costs ≈1.15 ns per entry plus ≈21 ns per stored
 // set (its slot lookup and loop set-up), so σ ≈ 18; a cold CSR index
-// build costs 10–15 ns per live entry (two passes over the arena plus
-// scattered writes into idxSets; 18 ns on 4-entry sets), so γ ≈ 11.
+// build costs 10–15 ns per live entry (18 ns on 4-entry sets), so γ ≈ 11.
+// γ was fitted when the build made two passes over the arena, one to
+// count and one to fill, and has not been refitted since the counts come
+// from Λ_R: the dropped pass is one sequential read per entry against
+// the fill pass's scattered writes into idxSets. On the same pool shapes
+// and VM, the two-pass build read 6–12 ns per entry and the one-pass
+// build 4–10 ns, spreads that overlap.
 const (
 	greedySetCost   = 18 // σ
 	greedyBuildCost = 11 // γ

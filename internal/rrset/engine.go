@@ -72,7 +72,8 @@ type Request struct {
 	Strategy RootStrategy
 	// Inactive lists the residual nodes (the exact complement of Active).
 	// Roots are rejection-sampled from [0, n) against the Active mask; the
-	// list itself is consulted for n_i and for the k == n_i fast path.
+	// list itself is consulted for n_i, and a set drawn with k == n_i roots
+	// is the list itself (see Sampler.MRRStable).
 	Inactive []int32
 	// Active masks removed nodes (nil = none). It is read concurrently by
 	// the workers and must not be mutated during Generate.

@@ -3,6 +3,7 @@ package rrset
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"asti/internal/bitset"
@@ -83,7 +84,8 @@ func decodeFuzzGraph(data []byte) (*graph.Graph, *bitset.Set, []int32, bool) {
 // small graphs and probabilities, with an active mask passed directly
 // and primed (the engine's path). Every set must hold its roots, drawn
 // as Int31n rejection over [0, n) against the mask, and otherwise only
-// distinct, in-range, inactive nodes. Run with `go test -fuzz
+// distinct, in-range, inactive nodes; a set rooted at every inactive
+// node must be the inactive list itself. Run with `go test -fuzz
 // FuzzSampler ./internal/rrset` for continuous fuzzing; the seed corpus
 // below runs as a normal test.
 func FuzzSampler(f *testing.F) {
@@ -131,6 +133,9 @@ func FuzzSampler(f *testing.F) {
 			return out
 		}
 		check := func(label string, set, want []int32) {
+			if len(want) == len(inactive) && !slices.Equal(set, inactive) {
+				t.Fatalf("%s: all %d inactive nodes as roots gave %v, want the inactive list", label, len(want), set)
+			}
 			seen := map[int32]bool{}
 			for _, v := range set {
 				if v < 0 || v >= n || seen[v] || active.Get(v) {

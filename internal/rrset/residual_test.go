@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"asti/internal/bitset"
@@ -153,5 +154,117 @@ func TestCorollary34MultiRoundTrace(t *testing.T) {
 				t.Errorf("round %d v=%d: estimate %v below (1−1/e)·%v", round+1, oldID, est, exact)
 			}
 		}
+	}
+}
+
+// TestAllRootsSetIsTheResidual pins the premise of a shortfall of one: a
+// set drawn with k = n_i roots is the inactive list itself, in order,
+// under both models and stream contracts and with the active mask
+// passed directly or primed, and drawing it examines no edge, consumes
+// no stream value and leaves the sampler's scratch clean for the next
+// set.
+func TestAllRootsSetIsTheResidual(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Name: "all-roots", N: 300, AvgDeg: 3, UniformMix: 0.4, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := bitset.New(int(g.N()))
+	var inactive []int32
+	for v := int32(0); v < g.N(); v++ {
+		if v%4 == 0 || v < 10 {
+			active.Set(v)
+		} else {
+			inactive = append(inactive, v)
+		}
+	}
+	k := len(inactive)
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		for _, ver := range []Version{V1, V2} {
+			for _, primed := range []bool{false, true} {
+				name := fmt.Sprintf("%v/V%d/primed=%v", model, ver, primed)
+				s, fresh := NewSamplerVersion(g, model, ver), NewSamplerVersion(g, model, ver)
+				mask := active
+				if primed {
+					s.PrimeActive(active)
+					fresh.PrimeActive(active)
+					mask = nil
+				}
+				r := rng.New(21)
+				before := r.State()
+				prefix := []int32{-1, -2}
+				set := s.MRRStable(k, inactive, mask, r, prefix)
+				if !slices.Equal(set[:2], prefix) || !slices.Equal(set[2:], inactive) {
+					t.Fatalf("%s: %d roots of %d inactive gave %v", name, k, len(inactive), set)
+				}
+				if s.EdgesExamined != 0 || s.RngDraws != 0 || r.State() != before {
+					t.Fatalf("%s: examined %d edges and drew %d values (stream moved: %v)",
+						name, s.EdgesExamined, s.RngDraws, r.State() != before)
+				}
+				for seed := uint64(1); seed <= 20; seed++ {
+					a := s.MRRStable(3, inactive, mask, rng.New(seed), nil)
+					b := fresh.MRRStable(3, inactive, mask, rng.New(seed), nil)
+					if !slices.Equal(a, b) {
+						t.Fatalf("%s: next set %v, a fresh sampler draws %v", name, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllRootsPoolTiesToSmallestID: on a pool drawn at η_i = 1 every set
+// is the residual, so every candidate covers the whole pool, and both
+// selectors break the tie toward the smallest inactive id; the greedy
+// stops after that pick, which covers every set, on its scan and its
+// index path alike. trim answers η_i = 1 with inactive[0] on this
+// ground, for every rounding mode.
+func TestAllRootsPoolTiesToSmallestID(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Name: "all-roots-pool", N: 400, AvgDeg: 3, UniformMix: 0.4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := bitset.New(int(g.N()))
+	var inactive []int32
+	for v := int32(0); v < g.N(); v++ {
+		if v%3 == 0 {
+			active.Set(v)
+		} else {
+			inactive = append(inactive, v)
+		}
+	}
+	for _, rounding := range []Rounding{RoundRandomized, RoundFloor, RoundCeil} {
+		e := NewEngine(g, diffusion.IC, 1)
+		c := NewCollection(g)
+		const sets = 300
+		gs := e.Generate(c, Request{Strategy: MultiRoot(rounding), Inactive: inactive, Active: active,
+			EtaI: 1, Count: sets, Seed: 5})
+		if gs.EdgesExamined != 0 || gs.RngDraws != 0 {
+			t.Errorf("rounding %v: pool examined %d edges and drew %d values", rounding, gs.EdgesExamined, gs.RngDraws)
+		}
+		for id := int32(0); id < sets; id++ {
+			if !slices.Equal(c.Set(id), inactive) || c.RootK(id) != int32(len(inactive)) {
+				t.Fatalf("rounding %v: set %d is not the residual (%d roots)", rounding, id, c.RootK(id))
+			}
+		}
+		if v, cov := c.ArgmaxCoverage(inactive); v != inactive[0] || cov != sets {
+			t.Errorf("rounding %v: argmax %d covering %d, want %d covering %d", rounding, v, cov, inactive[0], sets)
+		}
+		for _, b := range []int{2, 8} {
+			for _, index := range []bool{false, true} {
+				c.idxBuilt = -1 // as after a generation: the greedy scans
+				if index {
+					c.IndexOf(0) // a current index, which the greedy reads instead
+				}
+				if c.greedyScans(b) == index {
+					t.Fatalf("rounding %v, b=%d: index=%v takes the other greedy path", rounding, b, index)
+				}
+				seeds, covered := c.GreedyMaxCoverage(b, inactive)
+				if !slices.Equal(seeds, inactive[:1]) || covered != sets {
+					t.Errorf("rounding %v, b=%d, index=%v: greedy %v covering %d, want [%d] covering %d",
+						rounding, b, index, seeds, covered, inactive[0], sets)
+				}
+			}
+		}
+		e.Close()
 	}
 }

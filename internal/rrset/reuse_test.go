@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"asti/internal/bitset"
@@ -264,6 +265,82 @@ func TestReplaceTruncateInvariants(t *testing.T) {
 	seeds, covered := c.GreedyMaxCoverage(3, nil)
 	if got := c.CoverageOf(seeds); got != covered {
 		t.Fatalf("greedy covered %d but CoverageOf says %d", covered, got)
+	}
+}
+
+// TestIndexMatchesRecount: the inverted index, whose offsets come from
+// Λ_R, lists for every node exactly the stored sets a recount of the
+// pool finds, in id order, on random pools churned by Add, Replace and
+// Truncate. On a collection that also holds counts-only sets, where Λ_R
+// overcounts the stored sets, building the index panics.
+func TestIndexMatchesRecount(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Name: "idx", N: 150, AvgDeg: 3, UniformMix: 0.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		c := NewCollection(g)
+		r := rng.New(seed)
+		var mirror [][]int32
+		randomSet := func() []int32 { // distinct nodes, as every sampled set holds
+			perm := r.Perm(int(g.N()))[:1+r.Intn(40)]
+			s := make([]int32, len(perm))
+			for i, v := range perm {
+				s[i] = int32(v)
+			}
+			return s
+		}
+		check := func(step int) {
+			t.Helper()
+			want := make([][]int32, g.N())
+			for id, s := range mirror {
+				for _, v := range s {
+					want[v] = append(want[v], int32(id))
+				}
+			}
+			for v := int32(0); v < g.N(); v++ {
+				if got := c.IndexOf(v); !slices.Equal(got, want[v]) {
+					t.Fatalf("seed %d step %d: node %d indexed in %v, a recount finds %v", seed, step, v, got, want[v])
+				}
+			}
+		}
+		for range 30 {
+			s := randomSet()
+			c.AddRooted(s, 1)
+			mirror = append(mirror, s)
+		}
+		check(0)
+		for step := 1; step <= 400; step++ {
+			switch op := r.Intn(10); {
+			case op < 6: // replace
+				id, s := r.Intn(len(mirror)), randomSet()
+				c.Replace(int32(id), s, 1)
+				mirror[id] = s
+			case op < 8: // add
+				s := randomSet()
+				c.AddRooted(s, 1)
+				mirror = append(mirror, s)
+			default: // truncate
+				if len(mirror) > 5 {
+					m := len(mirror) - 1 - r.Intn(4)
+					c.Truncate(m)
+					mirror = mirror[:m]
+				}
+			}
+			if step%23 == 0 {
+				check(step)
+			}
+		}
+		check(401)
+		c.AddCountsOnly(randomSet())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("seed %d: IndexOf on a collection holding a counts-only set did not panic", seed)
+				}
+			}()
+			c.IndexOf(0)
+		}()
 	}
 }
 

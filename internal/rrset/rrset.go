@@ -263,51 +263,47 @@ func RootSize(ni, etai int64, r *rng.Source) int {
 // residual-stable pattern: candidates are rejection-sampled from [0, n)
 // against the active mask, so the draw sequence is a function of the raw
 // stream alone, never of the inactive list's layout. inactive must be
-// exactly the complement of active (it is consulted only for the k == n_i
-// fast path, where every inactive node is a root and no draws happen —
-// that path is never considered reusable, see Collection.Prune).
+// exactly the complement of active. It is consulted only when k == n_i:
+// every inactive node is then a root and every other node is active, so
+// the reverse BFS could add nothing, and the set is inactive itself, in
+// order, with no draws and no edges examined. That set depends on the
+// inactive list, so it is never considered reusable (see Collection.Prune).
 //
 //asm:hotpath
 func (s *Sampler) MRRStable(k int, inactive []int32, active *bitset.Set, r *rng.Source, dst []int32) []int32 {
 	if k <= 0 || k > len(inactive) {
 		panic("rrset: root count out of range")
 	}
-	base := len(dst)
 	if k == len(inactive) {
-		for _, v := range inactive {
-			if !s.visited.TestAndSet(v) {
-				dst = append(dst, v)
-			}
-		}
-	} else {
-		// Rejection-sample roots from [0, n) with the generator state and
-		// the visited words held in locals (see propagateIC for why). The
-		// draw below reproduces Int31n's Lemire rejection bit-for-bit —
-		// the root stream is part of the versioned contracts and must not
-		// move.
-		lr := *r
-		vw := s.visited.Words()
-		un := uint64(s.g.N())
-		for len(dst)-base < k {
-			hi, lo := bits.Mul64(lr.Uint64(), un)
-			if lo < un {
-				thresh := -un % un
-				for lo < thresh {
-					hi, lo = bits.Mul64(lr.Uint64(), un)
-				}
-			}
-			c := uint32(hi)
-			if active != nil && active.Get(int32(c)) {
-				continue
-			}
-			w, mask := c>>6, uint64(1)<<(c&63)
-			if word := vw[w]; word&mask == 0 {
-				vw[w] = word | mask
-				dst = append(dst, int32(c))
-			} // else: duplicate (or primed-active) root candidate
-		}
-		*r = lr
+		return append(dst, inactive...)
 	}
+	base := len(dst)
+	// Rejection-sample roots from [0, n) with the generator state and the
+	// visited words held in locals (see propagateIC for why). The draw
+	// below reproduces Int31n's Lemire rejection bit-for-bit — the root
+	// stream is part of the versioned contracts and must not move.
+	lr := *r
+	vw := s.visited.Words()
+	un := uint64(s.g.N())
+	for len(dst)-base < k {
+		hi, lo := bits.Mul64(lr.Uint64(), un)
+		if lo < un {
+			thresh := -un % un
+			for lo < thresh {
+				hi, lo = bits.Mul64(lr.Uint64(), un)
+			}
+		}
+		c := uint32(hi)
+		if active != nil && active.Get(int32(c)) {
+			continue
+		}
+		w, mask := c>>6, uint64(1)<<(c&63)
+		if word := vw[w]; word&mask == 0 {
+			vw[w] = word | mask
+			dst = append(dst, int32(c))
+		} // else: duplicate (or primed-active) root candidate
+	}
+	*r = lr
 	return s.propagate(active, r, dst, base)
 }
 

@@ -1,6 +1,7 @@
 package trim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -71,6 +72,58 @@ func TestTRIMBSelectionFixture(t *testing.T) {
 		if !slices.Equal(seeds, p.want) || covered != p.covered {
 			t.Errorf("greedy over %s: %v covering %d, want %v covering %d",
 				p.name, seeds, covered, p.want, p.covered)
+		}
+	}
+}
+
+// TestFullCampaignFixture pins whole echo campaigns, run to η, to frozen
+// proposal sequences: ASTI at η = 12 and ASTI-4 at η = 25, under IC and
+// LT, with pool reuse on, one worker and the V2 sampler. Every campaign
+// ends with a round selected at a shortfall of one, which the policy
+// answers without sampling; the sequences were recorded while that
+// round still sampled a pool, so they pin the shortcut to the sampled
+// answer. Each campaign must also select identically with four
+// sampling workers and with pool reuse off.
+func TestFullCampaignFixture(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
+		Name: "campaign-fixture", N: 400, AvgDeg: 3, UniformMix: 0.4, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaigns := []struct {
+		b     int
+		eta   int64
+		model diffusion.Model
+		want  [][]int32
+	}{
+		{1, 12, diffusion.IC, [][]int32{{3}, {0}, {2}, {8}, {7}, {10}, {11}, {30}, {6}, {45}, {1}, {4}}},
+		{1, 12, diffusion.LT, [][]int32{{3}, {0}, {2}, {7}, {8}, {11}, {6}, {5}, {30}, {38}, {1}, {4}}},
+		{4, 25, diffusion.IC, [][]int32{{3, 0, 11, 2}, {7, 5, 6, 8}, {10, 30, 38, 76}, {1, 47, 24, 31},
+			{45, 37, 42, 200}, {39, 15, 71, 22}, {4}}},
+		{4, 25, diffusion.LT, [][]int32{{3, 0, 1, 11}, {2, 8, 6, 45}, {7, 30, 5, 24}, {10, 42, 38, 26},
+			{29, 76, 15, 14}, {31, 32, 49, 39}, {4}}},
+	}
+	for _, c := range campaigns {
+		for _, v := range []struct {
+			workers int
+			reuse   bool
+		}{{1, true}, {4, true}, {1, false}} {
+			pol := MustNew(Config{Epsilon: 0.5, Batch: c.b, Truncated: true, Workers: v.workers,
+				ReusePool: v.reuse, SamplerVersion: rrset.V2})
+			camp := echoCampaign(t, pol, g, c.model, c.eta)
+			pol.Close()
+			name := fmt.Sprintf("%s %v η=%d workers=%d reuse=%v", pol.Name(), c.model, c.eta, v.workers, v.reuse)
+			if last := camp.Rounds[len(camp.Rounds)-1]; last.EtaIBefore != 1 {
+				t.Errorf("%s: last round selected at η_i = %d, want 1", name, last.EtaIBefore)
+			}
+			got := make([][]int32, len(camp.Rounds))
+			for i, rt := range camp.Rounds {
+				got[i] = rt.Seeds
+			}
+			if !slices.EqualFunc(got, c.want, slices.Equal[[]int32]) {
+				t.Errorf("%s selected\n%v\nwant\n%v", name, got, c.want)
+			}
 		}
 	}
 }

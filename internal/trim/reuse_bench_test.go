@@ -47,11 +47,32 @@ func runScriptedRounds(b testing.TB, pol *Policy, g *graph.Graph, eta int64, rou
 	return c.Seeds
 }
 
+// echoCampaign runs pol through a whole campaign under model in which
+// each observation activates exactly the proposed batch, stopping at η.
+// The shortfall falls by one batch per round, so the last round selects
+// at η_i = 1 whenever η−1 is a multiple of the batch size.
+func echoCampaign(tb testing.TB, pol *Policy, g *graph.Graph, model diffusion.Model, eta int64) *adaptive.Campaign {
+	tb.Helper()
+	c, err := adaptive.NewCampaign(g, model, eta, pol, rng.New(99))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for c.EtaI() > 0 {
+		batch, err := c.Propose()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c.Commit(batch, nil)
+	}
+	return c
+}
+
 // BenchmarkSelectBatch measures the per-round cost of the TRIM hot path
 // over a multi-round campaign with small activation deltas (each round
 // activates only its own batch), with cross-round pool reuse on and off.
 // This is the regime the prune-and-top-up optimization targets: the reuse
-// variant should beat reset by well over 2×.
+// variant should beat reset by well over 2×. A third case runs a whole
+// TRIM-B campaign to η.
 func BenchmarkSelectBatch(b *testing.B) {
 	g := benchGraphOnce(b)
 	eta := int64(float64(g.N()) * 0.3)
@@ -74,6 +95,23 @@ func BenchmarkSelectBatch(b *testing.B) {
 			b.ReportMetric(float64(pol.Stats.SetsReused)/float64(b.N), "reused/campaign")
 		})
 	}
+	// to-eta runs one ASTI-4 echo campaign to η = 25, whose last round
+	// selects at η_i = 1: the one round no fixed-length case reaches.
+	b.Run("to-eta", func(b *testing.B) {
+		pol := MustNew(Config{Epsilon: 0.5, Batch: 4, Truncated: true,
+			Workers: 1, ReusePool: true})
+		defer pol.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := echoCampaign(b, pol, g, diffusion.IC, 25)
+			if last := c.Rounds[len(c.Rounds)-1]; last.EtaIBefore != 1 {
+				b.Fatalf("last round at η_i = %d, want 1", last.EtaIBefore)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(pol.Stats.Sets)/float64(b.N), "sets/campaign")
+	})
 }
 
 // TestScriptedRoundsEquivalence pins the benchmark scenario itself to the

@@ -343,9 +343,10 @@ func (p *Policy) reusePool(st *adaptive.State, target int64) bool {
 			return true // unknown provenance
 		}
 		k := strat.RootSizeAt(p.runSeed, int64(id), ni, etai)
-		// A changed root count changes the set; k == n_i would switch the
-		// sampler to the enumerate-all-roots path, whose output depends on
-		// the inactive list layout — regenerate rather than reason about it.
+		// A changed root count changes the set; k == n_i makes the set the
+		// inactive list itself, in list order, which a kept set holding
+		// the same nodes need not match — regenerate rather than reason
+		// about it.
 		return int64(k) >= ni || k != int(rootK)
 	})
 	if len(stale)*100 >= stored*reuseStaleCutoffPct {
@@ -368,7 +369,10 @@ func (p *Policy) reusePool(st *adaptive.State, target int64) bool {
 }
 
 // SelectBatch implements adaptive.Policy: one round of truncated (or
-// vanilla) influence maximization on the residual graph.
+// vanilla) influence maximization on the residual graph. A round with a
+// single inactive node, or a truncated round at η_i = 1 (a campaign's
+// last), returns the smallest inactive id without sampling, which is
+// what sampling would select; the pool then stays the previous round's.
 func (p *Policy) SelectBatch(st *adaptive.State) ([]int32, error) {
 	ni := st.Ni()
 	etai := st.EtaI()
@@ -402,9 +406,15 @@ func (p *Policy) SelectBatch(st *adaptive.State) ([]int32, error) {
 	if int64(b) > ni {
 		b = int(ni)
 	}
-	// With a single inactive node, or a shortfall only satisfiable by
-	// seeding everything, sampling adds nothing.
-	if ni == 1 {
+	// Sampling decides nothing with a single inactive node, nor under the
+	// truncated objective at a shortfall of one: every mRR set then has
+	// n_i/η_i = n_i roots, so each is the whole residual V_i, and every
+	// candidate covers the whole pool. Both selectors break that tie
+	// toward the smallest id, Inactive is ascending, and the greedy stops
+	// after one pick because it covers every set: the sampled answer is
+	// Inactive[0], for every rounding mode. The untruncated objective
+	// does not tie, so AdaptIM still samples.
+	if ni == 1 || (etai == 1 && p.cfg.Truncated) {
 		return []int32{st.Inactive[0]}, nil
 	}
 

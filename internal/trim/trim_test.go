@@ -1,6 +1,8 @@
 package trim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"asti/internal/adaptive"
@@ -179,5 +181,84 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if p.Stats.Rounds == 0 || p.Stats.Sets == 0 || p.Stats.SetNodes < p.Stats.Sets {
 		t.Errorf("implausible stats: %+v", p.Stats)
+	}
+}
+
+// TestShortfallOfOneSkipsSampling: at η_i = 1 the truncated policies
+// select the smallest inactive id without sampling, under every
+// rounding mode and batch size, both in a round that continues a
+// campaign and in a campaign's first round, which still draws its pool
+// seed from the policy stream. AdaptIM, whose untruncated objective does
+// not tie, still samples.
+func TestShortfallOfOneSkipsSampling(t *testing.T) {
+	g := testGraph(t, 300)
+	var cfgs []Config
+	for _, b := range []int{1, 4} {
+		for _, mode := range []Rounding{RoundRandomized, RoundFloor, RoundCeil} {
+			cfgs = append(cfgs, Config{Batch: b, Truncated: true, Rounding: mode})
+		}
+	}
+	cfgs = append(cfgs, Config{Batch: 1, Truncated: false})
+	for _, cfg := range cfgs {
+		cfg.Epsilon, cfg.Workers, cfg.ReusePool = 0.5, 1, true
+		pol := MustNew(cfg)
+		name := fmt.Sprintf("%s rounding %d", pol.Name(), cfg.Rounding)
+
+		// Round 1 selects at η_i = 10 and samples; its batch and enough
+		// other nodes, node 0 first, are observed active to leave η_i = 1.
+		c, err := adaptive.NewCampaign(g, diffusion.IC, 10, pol, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := c.Propose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var activated []int32
+		for _, v := range c.Inactive {
+			if len(batch)+len(activated) == 9 {
+				break
+			}
+			if !slices.Contains(batch, v) {
+				activated = append(activated, v)
+			}
+		}
+		c.Commit(batch, activated)
+		sets, want := pol.Stats.Sets, c.Inactive[0]
+		if c.EtaI() != 1 || sets == 0 {
+			t.Fatalf("%s: round 2 at η_i = %d after %d sets", name, c.EtaI(), sets)
+		}
+		batch, err = c.Propose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cfg.Truncated {
+			if pol.Stats.Sets == sets {
+				t.Errorf("%s: selected %v at η_i = 1 without sampling", name, batch)
+			}
+			pol.Close()
+			continue
+		}
+		if !slices.Equal(batch, []int32{want}) || pol.Stats.Sets != sets {
+			t.Errorf("%s: selected %v at η_i = 1 after %d more sets, want [%d] and none",
+				name, batch, pol.Stats.Sets-sets, want)
+		}
+
+		// A campaign to η = 1 selects at η_i = 1 in its first round.
+		src := rng.New(7)
+		if c, err = adaptive.NewCampaign(g, diffusion.IC, 1, pol, src); err != nil {
+			t.Fatal(err)
+		}
+		sets = pol.Stats.Sets
+		if batch, err = c.Propose(); err != nil {
+			t.Fatal(err)
+		}
+		ref := rng.New(7)
+		ref.Uint64() // the run's pool seed
+		if !slices.Equal(batch, []int32{0}) || pol.Stats.Sets != sets || src.State() != ref.State() {
+			t.Errorf("%s: first round at η_i = 1 selected %v after %d sets, pool seed drawn: %v",
+				name, batch, pol.Stats.Sets-sets, src.State() == ref.State())
+		}
+		pol.Close()
 	}
 }
